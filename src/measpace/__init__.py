@@ -39,13 +39,13 @@ from .embeddings import (
     full_dfamily,
     identity_kit,
     measure_embedding_report,
-    pasted_ground,
     validate_kit,
 )
 from .errors import (
     GroundMismatchError,
     InputFormatError,
     InvalidKitError,
+    InvariantError,
     MeaspaceError,
     NotMeasurableError,
     PreconditionError,

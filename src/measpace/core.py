@@ -346,12 +346,21 @@ def generate_sigma_algebra(
     for g in gens:
         if g.ground != ground:
             raise GroundMismatchError("generator over a different ground set")
-    blocks: dict[tuple[int, ...], int] = {}
-    for i in range(ground.size):
-        signature = tuple(g.bits >> i & 1 for g in gens)
-        blocks[signature] = blocks.get(signature, 0) | (1 << i)
-    atoms = tuple(SubsetMask(ground, bits) for bits in blocks.values())
-    return SigmaAlgebra(ground, atoms)
+    atoms = generated_atom_bits(ground.size, (g.bits for g in gens))
+    return SigmaAlgebra(ground, tuple(SubsetMask(ground, bits) for bits in atoms))
+
+
+def generated_atom_bits(size: int, generator_bits: Iterable[int]) -> list[int]:
+    """Atoms, as raw bitmasks, of the algebra raw generators span on ``size`` points.
+
+    Each generator splits every block into its inside and its outside, so
+    the blocks left at the end are the classes of points no generator
+    separates.  The algebra has exactly 2**len(result) sets.
+    """
+    blocks = [(1 << size) - 1] if size else []
+    for g in generator_bits:
+        blocks = [part for b in blocks for part in (b & g, b & ~g) if part]
+    return blocks
 
 
 def transfer_mask(mask: SubsetMask, target: GroundSet) -> SubsetMask:

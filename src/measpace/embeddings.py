@@ -16,13 +16,17 @@ extension of a base space by finitely many fresh points.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Mapping
 
 from .core import (
+    MAX_POINTS,
     GroundSet,
     MeasureSpace,
     SigmaAlgebra,
     SubsetMask,
+    generate_sigma_algebra,
+    generated_atom_bits,
     mask_key,
     trace_algebra,
     transfer_mask,
@@ -31,6 +35,7 @@ from .errors import (
     GroundMismatchError,
     InputFormatError,
     InvalidKitError,
+    InvariantError,
     PreconditionError,
     SizeCapError,
 )
@@ -64,11 +69,21 @@ class EmbeddingReport:
 def measure_embedding_report(small: MeasureSpace, big: MeasureSpace) -> EmbeddingReport:
     """Check the embedding and, if it fails, name a concrete counterexample.
 
-    The witness is either a big-side set whose trace is not measurable in
-    the small algebra (or whose measure disagrees with the trace measure),
-    or a small-side set that is not a trace at all.
+    The check is decided atom by atom: the embedding holds exactly when
+    the trace of the big algebra on X is the small algebra and every big
+    atom A has value(A) = mu(A & X).  Both measures are additive, so
+    agreement on the atoms is agreement on every measurable set.  Only a
+    failing pair is scanned set by set, in canonical order, for the
+    witness: either a big-side set whose trace is not measurable in the
+    small algebra (or whose measure disagrees with the trace measure), or
+    a small-side set that is not a trace at all.
     """
     x = _embedded_mask(small.ground, big.ground)
+    if trace_algebra(big.algebra, x, small.ground) == small.algebra and all(
+        value == small.measure_of(transfer_mask(atom & x, small.ground))
+        for atom, value in zip(big.algebra.atoms, big.atom_values)
+    ):
+        return EmbeddingReport(True)
     traces = set()
     for c in big.algebra.sorted_sets():
         t = transfer_mask(c & x, small.ground)
@@ -170,22 +185,34 @@ def auto_fibers(sizes: Mapping[SubsetMask, int]) -> dict[SubsetMask, tuple[str, 
     return out
 
 
-def pasted_ground(names: Iterable[str]) -> GroundSet:
-    """Ground set for a hand-built pasted space, namespaced "z:<name>"."""
-    return GroundSet(tuple(f"z:{name}" for name in names))
+def _bits_key(bits: int) -> tuple[int, ...]:
+    """``mask_key`` of a raw bitmask: its point indices in order."""
+    return tuple(i for i in range(bits.bit_length()) if bits >> i & 1)
+
+
+def _fmt_bits(ground: GroundSet, bits: int) -> str:
+    return "{%s}" % ",".join(ground.labels[i] for i in _bits_key(bits))
 
 
 def _fmt(mask: SubsetMask) -> str:
-    return "{%s}" % ",".join(mask.labels())
+    return _fmt_bits(mask.ground, mask.bits)
 
 
 def validate_kit(kit: ExtensionKit) -> list[str]:
     """Return the list of violated kit invariants (empty = valid).
 
-    The union condition is checked for pairs only: a finite selection
-    D_1, ..., D_n folds to pairwise unions ((D_1 | D_2) | D_3 ...), so
-    pairwise closure over all B_1, B_2 already gives the finite case.
-    The test suite re-checks selections of length three directly.
+    The three closure conditions (the empty set in D_empty, complements,
+    unions of selections) are decided by one count.  Put the pasted
+    points after X and let G = {B + D : D in D_B}.  G lies inside the
+    algebra it generates, which has 2**blocks sets, where blocks counts
+    the classes of points of X + Z that no member of G separates.  So G
+    is closed, which is exactly the three conditions, iff |G| = 2**blocks.
+    Only a kit that fails the count is scanned condition by condition, to
+    name every violation.  That scan checks the union condition for pairs
+    only: a finite selection D_1, ..., D_n folds to pairwise unions
+    ((D_1 | D_2) | D_3 ...), so pairwise closure over all B_1, B_2
+    already gives the finite case.  The test suite re-checks selections
+    of length three directly.
     """
     problems: list[str] = []
     base_alg = kit.base.algebra
@@ -236,29 +263,50 @@ def validate_kit(kit: ExtensionKit) -> list[str]:
                 )
                 well_typed = False
 
-    # the three closure conditions need a complete, measurable dfamily
-    if well_typed:
-        empty_base = base_alg.ground.empty
-        if kit.pasted.ground.empty not in kit.dfamily[empty_base]:
-            problems.append("the empty pasted set is missing from the family of the empty base set")
-        for b in shared:
-            comp = b.complement()
-            for d in sorted(kit.dfamily[b], key=mask_key):
-                if d.complement() not in kit.dfamily[comp]:
-                    problems.append(
-                        f"complement {_fmt(d.complement())} of {_fmt(d)} in the family of "
-                        f"{_fmt(b)} is missing from the family of {_fmt(comp)}"
-                    )
-        for b1 in shared:
-            for b2 in shared:
-                target = kit.dfamily[b1 | b2]
-                for d1 in sorted(kit.dfamily[b1], key=mask_key):
-                    for d2 in sorted(kit.dfamily[b2], key=mask_key):
-                        if (d1 | d2) not in target:
-                            problems.append(
-                                f"union {_fmt(d1 | d2)} of selections from {_fmt(b1)} and "
-                                f"{_fmt(b2)} is missing from the family of {_fmt(b1 | b2)}"
-                            )
+    # the closure conditions need a complete, measurable dfamily
+    if well_typed and not _dfamily_closed(kit):
+        problems.extend(_closure_problems(kit))
+    return problems
+
+
+def _dfamily_closed(kit: ExtensionKit) -> bool:
+    """|G| = 2**blocks for G = {B + D : D in D_B} on X + Z (see validate_kit)."""
+    shift = kit.base.ground.size
+    generated = {b.bits | d.bits << shift for b, ds in kit.dfamily.items() for d in ds}
+    blocks = generated_atom_bits(shift + kit.pasted.ground.size, generated)
+    return len(generated) == 1 << len(blocks)
+
+
+def _closure_problems(kit: ExtensionKit) -> list[str]:
+    """One message per violated closure condition, base sets in mask_key order."""
+    base_ground, z_ground = kit.base.ground, kit.pasted.ground
+    x_full = (1 << base_ground.size) - 1
+    z_full = (1 << z_ground.size) - 1
+    family = {b.bits: {d.bits for d in ds} for b, ds in kit.dfamily.items()}
+    ordered = {b: sorted(ds, key=_bits_key) for b, ds in family.items()}
+    keys = sorted(family, key=_bits_key)
+    fb, fz = partial(_fmt_bits, base_ground), partial(_fmt_bits, z_ground)
+    problems: list[str] = []
+    if 0 not in family[0]:
+        problems.append("the empty pasted set is missing from the family of the empty base set")
+    for b in keys:
+        comp = b ^ x_full
+        for d in ordered[b]:
+            if d ^ z_full not in family[comp]:
+                problems.append(
+                    f"complement {fz(d ^ z_full)} of {fz(d)} in the family of "
+                    f"{fb(b)} is missing from the family of {fb(comp)}"
+                )
+    for b1 in keys:
+        for b2 in keys:
+            target = family[b1 | b2]
+            for d1 in ordered[b1]:
+                for d2 in ordered[b2]:
+                    if d1 | d2 not in target:
+                        problems.append(
+                            f"union {fz(d1 | d2)} of selections from {fb(b1)} and "
+                            f"{fb(b2)} is missing from the family of {fb(b1 | b2)}"
+                        )
     return problems
 
 
@@ -269,7 +317,8 @@ def construct_extension(kit: ExtensionKit) -> MeasureSpace:
     lexicographic order (a canonical choice, so reconstruction from a
     decomposed kit is reproducible).  Measurable sets are exactly
     B + (fibers of atoms inside B) + D with D in D_B, and such a set gets
-    the base value of B.
+    the base value of B.  The result is checked to be closed and to embed
+    the base; a failure raises :class:`InvariantError`.
     """
     problems = validate_kit(kit)
     if problems:
@@ -281,8 +330,10 @@ def construct_extension(kit: ExtensionKit) -> MeasureSpace:
         + list(kit.pasted.ground.labels)
     )
     all_labels = tuple(base.ground.labels) + tuple(outside)
-    if len(all_labels) > 16:
-        raise SizeCapError(f"extension would have {len(all_labels)} points; the cap is 16")
+    if len(all_labels) > MAX_POINTS:
+        raise SizeCapError(
+            f"extension would have {len(all_labels)} points; the cap is {MAX_POINTS}"
+        )
     ground = GroundSet(all_labels)
     x = ground.mask(base.ground.labels)
 
@@ -290,31 +341,32 @@ def construct_extension(kit: ExtensionKit) -> MeasureSpace:
     for kernel, labels in kit.fibers.items():
         fiber_bits[kernel] = ground.mask(labels).bits
 
+    # the base points come first in the ground, so base bits carry over
     family: set[int] = set()
     for b in base.algebra.sets():
-        bits = transfer_mask(b, ground).bits
+        bits = b.bits
         for kernel, fb in fiber_bits.items():
             if kernel.issubset(b):
                 bits |= fb
         for d in kit.dfamily[b]:
             family.add(bits | transfer_mask(d, ground).bits)
 
-    # points are atom-mates iff no generated set separates them
-    ordered = sorted(family)
-    blocks: dict[tuple[int, ...], int] = {}
-    for i in range(ground.size):
-        signature = tuple(bits >> i & 1 for bits in ordered)
-        blocks[signature] = blocks.get(signature, 0) | (1 << i)
-    algebra = SigmaAlgebra(
-        ground, tuple(SubsetMask(ground, bits) for bits in blocks.values())
-    )
-    assert len(family) == algebra.n_sets  # the generated family is already closed
+    algebra = generate_sigma_algebra(ground, (SubsetMask(ground, bits) for bits in family))
+    if len(family) != algebra.n_sets:
+        raise InvariantError(
+            f"the kit generates {len(family)} sets, but their algebra has {algebra.n_sets}"
+        )
 
     values = tuple(
         base.measure_of(transfer_mask(atom & x, base.ground)) for atom in algebra.atoms
     )
     result = MeasureSpace(algebra, values)
-    assert check_measure_embedding(base, result)
+    report = measure_embedding_report(base, result)
+    if not report.ok:
+        raise InvariantError(
+            f"the constructed space does not embed the base: {report.reason}"
+            f" at {_fmt(report.witness)}"
+        )
     return result
 
 

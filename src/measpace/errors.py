@@ -47,3 +47,9 @@ class InvalidKitError(MeaspaceError):
     def __init__(self, problems):
         self.problems = tuple(problems)
         super().__init__("invalid extension kit: " + "; ".join(self.problems))
+
+
+class InvariantError(MeaspaceError):
+    """A computed result failed a consistency check that valid input guarantees."""
+
+    code = "invariant"

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
+    MAX_POINTS,
     GroundSet,
     MeasureSpace,
     SigmaAlgebra,
@@ -62,8 +63,8 @@ def product_space(left: MeasureSpace, right: MeasureSpace) -> ProductSpace:
     asserted equal to the atom-product algebra.
     """
     n = left.ground.size * right.ground.size
-    if n > 16:
-        raise SizeCapError(f"product would have {n} points; the cap is 16")
+    if n > MAX_POINTS:
+        raise SizeCapError(f"product would have {n} points; the cap is {MAX_POINTS}")
     labels = tuple(
         pair_label(lx, ry) for lx in left.ground.labels for ry in right.ground.labels
     )

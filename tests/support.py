@@ -9,7 +9,20 @@ from __future__ import annotations
 
 from itertools import product as iproduct
 
-from measpace import GroundSet, MeasureSpace, SigmaAlgebra
+from measpace import (
+    INFINITY,
+    ONE,
+    ZERO,
+    EmbeddingReport,
+    ExtensionKit,
+    GroundSet,
+    MeasureSpace,
+    SigmaAlgebra,
+    all_sigma_algebras,
+    auto_fibers,
+    mask_key,
+    transfer_mask,
+)
 
 
 def G(*labels):
@@ -186,3 +199,140 @@ def count_extensions_oracle(base: MeasureSpace, n_extra: int) -> int:
 
 def all_value_tuples(n_atoms: int, choices):
     yield from iproduct(choices, repeat=n_atoms)
+
+
+def small_kits():
+    """Exhaustive kit candidates: |X| <= 2, |Z| <= 1, fibers <= 2 points."""
+    mu_choices = (ZERO, ONE, INFINITY)
+    for labels in (("a",), ("a", "b")):
+        ground = GroundSet(labels)
+        for algebra in all_sigma_algebras(ground):
+            base_sets = list(algebra.sets())
+            fiber_options = []
+            for sizes in iproduct((0, 1, 2), repeat=len(algebra.atoms)):
+                wanted = {
+                    atom: size for atom, size in zip(algebra.atoms, sizes) if size
+                }
+                fiber_options.append(auto_fibers(wanted))
+            for z_present in (False, True):
+                if z_present:
+                    zg = GroundSet(("z:0",))
+                    pasted = SigmaAlgebra(zg, (zg.full,))
+                else:
+                    pasted = SigmaAlgebra(GroundSet(()), ())
+                dsets = list(pasted.sets())
+                nonempty = [
+                    frozenset(d for i, d in enumerate(dsets) if pick >> i & 1)
+                    for pick in range(1, 1 << len(dsets))
+                ]
+                for values in iproduct(mu_choices, repeat=len(algebra.atoms)):
+                    base = MeasureSpace(algebra, values)
+                    for assignment in iproduct(nonempty, repeat=len(base_sets)):
+                        dfamily = dict(zip(base_sets, assignment))
+                        for fibers in fiber_options:
+                            yield ExtensionKit(base, pasted, dfamily, fibers)
+
+
+def _fmt(mask) -> str:
+    return "{%s}" % ",".join(mask.labels())
+
+
+def validate_kit_oracle(kit: ExtensionKit) -> list[str]:
+    """Kit validation by direct definition: every closure condition is
+    scanned over all pairs of base sets and selections, so the problem
+    list (and its order) referees ``validate_kit``.
+    """
+    problems: list[str] = []
+    base_alg = kit.base.algebra
+
+    used: dict[str, str] = {label: "base" for label in base_alg.ground.labels}
+    for kernel in sorted(kit.fibers, key=mask_key):
+        labels = kit.fibers[kernel]
+        if len(set(labels)) != len(labels):
+            problems.append(f"fiber {_fmt(kernel)} repeats a label")
+        for label in labels:
+            if label in used:
+                problems.append(
+                    f"label {label!r} of fiber {_fmt(kernel)} collides with {used[label]}"
+                )
+            else:
+                used[label] = f"fiber {_fmt(kernel)}"
+    for label in kit.pasted.ground.labels:
+        if label in used:
+            problems.append(f"pasted label {label!r} collides with {used[label]}")
+        else:
+            used[label] = "pasted"
+
+    atoms = set(base_alg.atoms)
+    for kernel in sorted(kit.fibers, key=mask_key):
+        if kernel not in atoms:
+            problems.append(f"fiber key {_fmt(kernel)} is not an atom of the base algebra")
+        if not kit.fibers[kernel]:
+            problems.append(f"fiber {_fmt(kernel)} is empty")
+
+    expected = set(base_alg.sets())
+    keys = set(kit.dfamily)
+    for b in sorted(expected - keys, key=mask_key):
+        problems.append(f"no pasted family for base set {_fmt(b)}")
+    for b in sorted(keys - expected, key=mask_key):
+        problems.append(f"pasted family keyed by non-measurable set {_fmt(b)}")
+
+    shared = sorted(keys & expected, key=mask_key)
+    well_typed = keys == expected
+    for b in shared:
+        ds = kit.dfamily[b]
+        if not ds:
+            problems.append(f"pasted family for {_fmt(b)} is empty")
+            well_typed = False
+        for d in sorted(ds, key=mask_key):
+            if d.ground != kit.pasted.ground or not kit.pasted.member(d):
+                problems.append(
+                    f"pasted family for {_fmt(b)} contains non-measurable {_fmt(d)}"
+                )
+                well_typed = False
+
+    if well_typed:
+        empty_base = base_alg.ground.empty
+        if kit.pasted.ground.empty not in kit.dfamily[empty_base]:
+            problems.append("the empty pasted set is missing from the family of the empty base set")
+        for b in shared:
+            comp = b.complement()
+            for d in sorted(kit.dfamily[b], key=mask_key):
+                if d.complement() not in kit.dfamily[comp]:
+                    problems.append(
+                        f"complement {_fmt(d.complement())} of {_fmt(d)} in the family of "
+                        f"{_fmt(b)} is missing from the family of {_fmt(comp)}"
+                    )
+        for b1 in shared:
+            for b2 in shared:
+                target = kit.dfamily[b1 | b2]
+                for d1 in sorted(kit.dfamily[b1], key=mask_key):
+                    for d2 in sorted(kit.dfamily[b2], key=mask_key):
+                        if (d1 | d2) not in target:
+                            problems.append(
+                                f"union {_fmt(d1 | d2)} of selections from {_fmt(b1)} and "
+                                f"{_fmt(b2)} is missing from the family of {_fmt(b1 | b2)}"
+                            )
+    return problems
+
+
+def embedding_report_oracle(small: MeasureSpace, big: MeasureSpace) -> EmbeddingReport:
+    """The measure embedding by direct definition: every trace and every
+    measure is compared set by set, in canonical order, so the first
+    counterexample found is the witness ``measure_embedding_report`` owes.
+    """
+    x = big.ground.mask(small.ground.labels)
+    traces = set()
+    for c in big.algebra.sorted_sets():
+        t = transfer_mask(c & x, small.ground)
+        traces.add(t)
+        if not small.algebra.member(t):
+            return EmbeddingReport(False, "trace-mismatch", c)
+    for s in small.algebra.sorted_sets():
+        if s not in traces:
+            return EmbeddingReport(False, "trace-mismatch", s)
+    for c in big.algebra.sorted_sets():
+        t = transfer_mask(c & x, small.ground)
+        if big.measure_of(c) != small.measure_of(t):
+            return EmbeddingReport(False, "measure-mismatch", c)
+    return EmbeddingReport(True)

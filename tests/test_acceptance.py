@@ -20,7 +20,6 @@ from measpace import (
     SigmaAlgebra,
     ZERO,
     all_sigma_algebras,
-    auto_fibers,
     check_dichotomy,
     check_measurable_embedding,
     check_measure_embedding,
@@ -41,7 +40,7 @@ from measpace import (
     y_section,
 )
 
-from support import brute_force_ultrafilters, count_extensions_oracle
+from support import brute_force_ultrafilters, count_extensions_oracle, small_kits
 
 
 class _Timer:
@@ -114,42 +113,10 @@ def test_criterion_3_zero_one_dictionary():
                 assert len(measures) == len(algebra.atoms)
 
 
-def _small_kits():
-    """Exhaustive kit candidates: |X| <= 2, |Z| <= 1, fibers <= 2 points."""
-    mu_choices = (ZERO, ONE, INFINITY)
-    for labels in (("a",), ("a", "b")):
-        ground = GroundSet(labels)
-        for algebra in all_sigma_algebras(ground):
-            base_sets = list(algebra.sets())
-            fiber_options = []
-            for sizes in iproduct((0, 1, 2), repeat=len(algebra.atoms)):
-                wanted = {
-                    atom: size for atom, size in zip(algebra.atoms, sizes) if size
-                }
-                fiber_options.append(auto_fibers(wanted))
-            for z_present in (False, True):
-                if z_present:
-                    zg = GroundSet(("z:0",))
-                    pasted = SigmaAlgebra(zg, (zg.full,))
-                else:
-                    pasted = SigmaAlgebra(GroundSet(()), ())
-                dsets = list(pasted.sets())
-                nonempty = [
-                    frozenset(d for i, d in enumerate(dsets) if pick >> i & 1)
-                    for pick in range(1, 1 << len(dsets))
-                ]
-                for values in iproduct(mu_choices, repeat=len(algebra.atoms)):
-                    base = MeasureSpace(algebra, values)
-                    for assignment in iproduct(nonempty, repeat=len(base_sets)):
-                        dfamily = dict(zip(base_sets, assignment))
-                        for fibers in fiber_options:
-                            yield ExtensionKit(base, pasted, dfamily, fibers)
-
-
 def test_criterion_4_kit_soundness():
     with _Timer(4, "every valid kit constructs an embedding", 30.0):
         seen_valid = seen_invalid = 0
-        for kit in _small_kits():
+        for kit in small_kits():
             problems = validate_kit(kit)
             if problems:
                 seen_invalid += 1

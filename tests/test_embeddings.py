@@ -1,4 +1,5 @@
 """Embedding checks, extension kits, decomposition, enumeration oracle."""
+import random
 from itertools import product as iproduct
 
 import pytest
@@ -9,6 +10,7 @@ from measpace import (
     GroundSet,
     INFINITY,
     InvalidKitError,
+    InvariantError,
     MeasureSpace,
     ONE,
     PreconditionError,
@@ -25,11 +27,22 @@ from measpace import (
     enumerate_extensions,
     full_dfamily,
     identity_kit,
+    mask_key,
     measure_embedding_report,
     validate_kit,
 )
+from measpace import embeddings
 
-from support import G, alg, count_extensions_oracle, space
+from support import (
+    G,
+    alg,
+    count_extensions_oracle,
+    embedding_report_oracle,
+    rgs_partitions,
+    small_kits,
+    space,
+    validate_kit_oracle,
+)
 
 
 # ------------------------------------------------------------- embedding checks
@@ -218,6 +231,23 @@ def test_construct_rejects_invalid():
     assert err.value.problems
 
 
+def test_construct_checks_its_result_without_assert(monkeypatch):
+    # both invariants raise a library error, which python -O cannot strip
+    base = one_point_base()
+    pasted = z_algebra()
+    unclosed = ExtensionKit(
+        base, pasted, {b: frozenset({pasted.ground.empty}) for b in base.algebra.sets()}, {}
+    )
+    monkeypatch.setattr(embeddings, "validate_kit", lambda kit: [])
+    with pytest.raises(InvariantError, match="generates 2 sets"):
+        construct_extension(unclosed)
+
+    failing = embeddings.EmbeddingReport(False, "measure-mismatch", base.ground.full)
+    monkeypatch.setattr(embeddings, "measure_embedding_report", lambda small, big: failing)
+    with pytest.raises(InvariantError, match="measure-mismatch at {a}"):
+        construct_extension(identity_kit(base))
+
+
 # ------------------------------------------------------------- decomposition
 
 def test_decompose_fiber_example():
@@ -377,3 +407,83 @@ def ExtReal_cycle(i):
     from measpace import ExtReal
 
     return (ZERO, ONE, ExtReal.of(2), INFINITY)[i % 4]
+
+
+# ------------------------------------------------------------- fast paths against oracles
+
+def _toggled(kit):
+    """Every kit that differs from ``kit`` by one pasted set added to or
+    dropped from one D_B."""
+    for b in sorted(kit.dfamily, key=mask_key):
+        ds = kit.dfamily[b]
+        for d in kit.pasted.sets():
+            changed = ds - {d} if d in ds else ds | {d}
+            yield ExtensionKit(kit.base, kit.pasted, {**kit.dfamily, b: changed}, kit.fibers)
+
+
+def _extensions_up_to(n_points):
+    """(base, extension) for every base on 1-3 points and every extension
+    of it to at most ``n_points`` points."""
+    for n in range(1, 4):
+        g = GroundSet(tuple("abc"[:n]))
+        for algebra in all_sigma_algebras(g):
+            base = MeasureSpace(
+                algebra, tuple(ExtReal_cycle(i) for i in range(len(algebra.atoms)))
+            )
+            for m in range(n_points - n + 1):
+                for ext in enumerate_extensions(base, ["p", "q", "r", "s"][:m]):
+                    yield base, ext
+
+
+def test_validate_kit_matches_oracle_on_criterion_4_kits():
+    # every criterion-4 kit, and every single-set mutation of the valid ones
+    valid = invalid = 0
+    for kit in small_kits():
+        problems = validate_kit(kit)
+        assert problems == validate_kit_oracle(kit)
+        if problems:
+            invalid += 1
+            continue
+        valid += 1
+        for mutant in _toggled(kit):
+            assert validate_kit(mutant) == validate_kit_oracle(mutant)
+    assert valid > 100 and invalid > 100
+
+
+def test_validate_kit_matches_oracle_on_decomposed_kits():
+    # canonical kits of extensions up to 5 points carry pasted parts of up
+    # to 4 points; they are valid, and their single-set mutations mostly not
+    broken = 0
+    for base, ext in _extensions_up_to(5):
+        kit = decompose_extension(ext, ext.ground.mask(base.ground.labels)).kit
+        assert validate_kit(kit) == validate_kit_oracle(kit) == []
+        for mutant in _toggled(kit):
+            problems = validate_kit(mutant)
+            assert problems == validate_kit_oracle(mutant)
+            broken += bool(problems)
+    assert broken > 1000
+
+
+def test_measure_embedding_report_matches_oracle():
+    rng = random.Random(5)
+    values = (ZERO, ONE, ExtReal_cycle(2), INFINITY)
+    outcomes = set()
+    for base, ext in _extensions_up_to(5):
+        candidates = [ext]
+        for i, v in enumerate(ext.atom_values):
+            changed = list(ext.atom_values)
+            changed[i] = values[(values.index(v) + 1) % len(values)]
+            candidates.append(MeasureSpace(ext.algebra, tuple(changed)))
+        blocks = rng.choice(list(rgs_partitions(ext.ground.size)))
+        random_alg = SigmaAlgebra(
+            ext.ground,
+            tuple(ext.ground.mask(ext.ground.labels[i] for i in blk) for blk in blocks),
+        )
+        candidates.append(
+            MeasureSpace(random_alg, tuple(rng.choice(values) for _ in blocks))
+        )
+        for big in candidates:
+            report = measure_embedding_report(base, big)
+            assert report == embedding_report_oracle(base, big)
+            outcomes.add(report.reason)
+    assert outcomes == {None, "trace-mismatch", "measure-mismatch"}
