@@ -31,7 +31,6 @@ from .embeddings import (
     auto_fibers,
     check_measurable_embedding,
     check_measure_embedding,
-    check_thickness_equivalence,
     classify_outside_points,
     construct_extension,
     decompose_extension,
@@ -55,9 +54,6 @@ from .filters import (
     SetFamily,
     UltrafilterRecord,
     ZeroOneMeasure,
-    check_dichotomy,
-    check_sup_property,
-    check_union_membership,
     classify_family,
     enumerate_ultrafilters,
     extend_to_ultrafilter,

@@ -39,19 +39,25 @@ class _Parser(argparse.ArgumentParser):
         raise InputFormatError(message)
 
 
+def _path_error(message: str, path: str) -> InputFormatError:
+    err = InputFormatError(message)
+    err.path = path
+    return err
+
+
 def _read_json(path: str):
     try:
-        text = sys.stdin.read() if path == "-" else Path(path).read_text()
+        text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        err = InputFormatError(f"cannot read {path}: {exc.strerror or exc}")
-        err.path = path
-        raise err from None
+        raise _path_error(f"cannot read {path}: {exc.strerror or exc}", path) from None
+    except UnicodeDecodeError:
+        raise _path_error(f"cannot read {path}: not UTF-8 text", path) from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        err = InputFormatError(f"not valid JSON: {exc}")
-        err.path = path
-        raise err from None
+        raise _path_error(f"not valid JSON: {exc}", path) from None
+    except RecursionError:
+        raise _path_error("not valid JSON: nested too deeply", path) from None
 
 
 def _load(path: str, loader):
@@ -66,7 +72,7 @@ def _load(path: str, loader):
 def _set_arg(args) -> list[str]:
     try:
         labels = json.loads(args.set)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         raise InputFormatError("--set must be a JSON array of labels") from None
     if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
         raise InputFormatError("--set must be a JSON array of labels")
@@ -312,20 +318,22 @@ def _parser() -> _Parser:
 
 def _emit(payload: dict, out: str | None) -> None:
     text = jsonio.canonical_dumps(payload)
-    if out:
-        Path(out).write_text(text)
-    else:
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        raise _path_error(f"cannot write {out}: {exc.strerror or exc}", out) from None
 
 
 def run(argv: list[str]) -> int:
     """Execute one verb; returns the process exit code."""
-    out = None
     try:
         args = _parser().parse_args(argv)
-        out = args.out
         handler, _ = _VERBS[args.verb]
         code, payload = handler(args)
+        _emit(payload, args.out)
     except MeaspaceError as exc:
         error = {
             "error": {
@@ -336,7 +344,6 @@ def run(argv: list[str]) -> int:
         }
         sys.stdout.write(jsonio.canonical_dumps(error))
         return 2
-    _emit(payload, out)
     return code
 
 

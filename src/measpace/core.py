@@ -429,22 +429,20 @@ class MeasureSpace:
     def outer_measure(self, s: SubsetMask) -> ExtReal:
         """min over measurable C >= s of the measure of C.
 
-        ``s`` need not be measurable.  Computed by exhaustive scan over
-        the finite algebra; the minimum is attained.
+        ``s`` need not be measurable.  The least such C is the union of the
+        atoms that meet ``s``.
         """
         if s.ground != self.ground:
             raise GroundMismatchError("set over a different ground set")
-        return min(
-            self.measure_of(c) for c in self.algebra.sets() if s.bits & ~c.bits == 0
-        )
+        pairs = zip(self.algebra.atoms, self.atom_values)
+        return sum((v for a, v in pairs if a.bits & s.bits), ZERO)
 
     def inner_measure(self, s: SubsetMask) -> ExtReal:
-        """max over measurable C <= s of the measure of C."""
+        """max over measurable C <= s of the measure of C: the atoms inside ``s``."""
         if s.ground != self.ground:
             raise GroundMismatchError("set over a different ground set")
-        return max(
-            self.measure_of(c) for c in self.algebra.sets() if c.bits & ~s.bits == 0
-        )
+        pairs = zip(self.algebra.atoms, self.atom_values)
+        return sum((v for a, v in pairs if a.bits & ~s.bits == 0), ZERO)
 
     def is_thick(self, x: SubsetMask) -> bool:
         """True iff the complement of ``x`` has inner measure zero.

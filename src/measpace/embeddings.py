@@ -9,9 +9,10 @@ pasted parts for each base set B, and blow-up fibers attached to atoms of
 B whose points are measurably inseparable from the atom they stick to.
 
 ``construct_extension`` builds the extension a kit generates;
-``decompose_extension`` recovers the canonical kit of a given extension;
-``enumerate_extensions`` is the brute-force oracle that lists every
-extension of a base space by finitely many fresh points.
+``decompose_extension`` reads the canonical kit of a given extension off
+the atoms of its algebra; ``enumerate_extensions`` is the brute-force
+oracle that lists every extension of a base space by finitely many
+fresh points.
 """
 from __future__ import annotations
 
@@ -39,7 +40,6 @@ from .errors import (
     PreconditionError,
     SizeCapError,
 )
-from .filters import SetFamily, classify_family
 from .partitions import set_partitions
 
 ENUMERATION_CAP = 8
@@ -103,24 +103,6 @@ def measure_embedding_report(small: MeasureSpace, big: MeasureSpace) -> Embeddin
 def check_measure_embedding(small: MeasureSpace, big: MeasureSpace) -> bool:
     """True iff ``small`` is embedded in ``big`` (trace and measure agree)."""
     return measure_embedding_report(small, big).ok
-
-
-def check_thickness_equivalence(small: MeasureSpace, big: MeasureSpace) -> bool:
-    """Test predicate: embedding holds iff X is thick and lambda = mu o trace.
-
-    Requires the measurable-space embedding; under it, the measure
-    embedding forces X to have full outer measure, so the biconditional
-    must always come back True.
-    """
-    if not check_measurable_embedding(small.algebra, big.algebra):
-        raise PreconditionError("the measurable-space embedding does not hold")
-    x = _embedded_mask(small.ground, big.ground)
-    lhs = check_measure_embedding(small, big)
-    rhs = big.is_thick(x) and all(
-        big.measure_of(c) == small.measure_of(transfer_mask(c & x, small.ground))
-        for c in big.algebra.sets()
-    )
-    return lhs == rhs
 
 
 @dataclass(frozen=True)
@@ -427,9 +409,10 @@ def decompose_extension(big: MeasureSpace, x: SubsetMask) -> DecompositionRecord
     """Recover the canonical kit of an extension.
 
     Z collects the outside points covered by a measurable set disjoint
-    from X; D_B collects the Z-traces of the sets whose X-trace is B; and
-    every remaining outside point p determines the fixed ultrafilter
-    {C & X : p in C}, whose kernel names the fiber p belongs to.
+    from X.  Any other outside point p shares a big atom A with X, so
+    its fixed ultrafilter {C & X : p in C} is the up-set of A & X, the
+    kernel of p's fiber.  Each big atom lies in Z or outside it, so any
+    pasted set goes with any base set: D_B is all of D for every B.
     """
     if x.ground != big.ground:
         raise GroundMismatchError("x is over a different ground set")
@@ -450,12 +433,6 @@ def decompose_extension(big: MeasureSpace, x: SubsetMask) -> DecompositionRecord
         ),
     )
 
-    dfamily: dict[SubsetMask, set[SubsetMask]] = {}
-    for c in big.algebra.sets():
-        b = transfer_mask(c & x, small.ground)
-        d = transfer_mask(c & z_part, z_ground)
-        dfamily.setdefault(b, set()).add(d)
-
     fibers: dict[SubsetMask, tuple[str, ...]] = {}
     assignment: dict[str, PointAssignment] = {}
     for label in z_part.labels():
@@ -465,22 +442,12 @@ def decompose_extension(big: MeasureSpace, x: SubsetMask) -> DecompositionRecord
         stuck = atom - x
         if not inside or not stuck:
             continue
-        members = frozenset(
-            transfer_mask(c & x, small.ground)
-            for c in big.algebra.sets()
-            if atom.issubset(c)
-        )
-        record = classify_family(SetFamily(small.algebra, members))
-        assert record.is_ultrafilter and record.has_cip
-        kernel = record.kernel
-        assert kernel == transfer_mask(inside, small.ground)
+        kernel = transfer_mask(inside, small.ground)
         fibers[kernel] = stuck.labels()
         for label in stuck.labels():
             assignment[label] = PointAssignment("fiber", kernel)
 
-    kit = ExtensionKit(
-        small, pasted, {b: frozenset(ds) for b, ds in dfamily.items()}, fibers
-    )
+    kit = ExtensionKit(small, pasted, full_dfamily(small.algebra, pasted), fibers)
     return DecompositionRecord(z_part=z_part, kit=kit, point_assignment=assignment)
 
 

@@ -6,9 +6,12 @@ algebra the countable clauses reduce to finite ones, and the c.i.p. flag
 collapses to "nonempty kernel".  The test suite checks that collapse
 against the subfamily definition rather than assuming it.
 
-Also here: the dictionary between ultrafilters and nontrivial
-{0,1}-valued measures, and the transfer of ultrafilters along sub- and
-super-space inclusions (up-set lifting, trace restriction).
+Every ultrafilter of a finite algebra is the up-set of an atom, so the
+ones this module returns are built from their atom by
+:func:`principal_ultrafilter`, never classified.  Also here: the
+dictionary between ultrafilters and nontrivial {0,1}-valued measures,
+and the transfer of ultrafilters along sub- and super-space inclusions
+(up-set lifting, trace restriction).
 """
 from __future__ import annotations
 
@@ -128,14 +131,15 @@ def classify_family(family: SetFamily) -> UltrafilterRecord:
 
 
 def principal_ultrafilter(algebra: SigmaAlgebra, atom: SubsetMask) -> UltrafilterRecord:
-    """The up-set of an atom, classified (and verified) as an ultrafilter."""
+    """The up-set of an atom: a fixed ultrafilter with c.i.p., kernel the atom.
+
+    A measurable set meeting every member meets the atom, hence contains it.
+    """
     if atom not in algebra.atoms:
         raise PreconditionError(f"{atom!r} is not an atom of the algebra")
-    members = frozenset(s for s in algebra.sets() if atom.issubset(s))
-    record = classify_family(SetFamily(algebra, members))
-    assert record.is_ultrafilter and record.has_cip and not record.is_free
-    assert record.kernel == atom
-    return record
+    members = frozenset(s for s in algebra.sets() if atom.bits & ~s.bits == 0)
+    # filter-base, filter, ultrafilter, c.i.p., not free
+    return UltrafilterRecord(SetFamily(algebra, members), atom, True, True, True, True, False)
 
 
 def enumerate_ultrafilters(algebra: SigmaAlgebra) -> list[UltrafilterRecord]:
@@ -145,29 +149,6 @@ def enumerate_ultrafilters(algebra: SigmaAlgebra) -> list[UltrafilterRecord]:
     admits no free ultrafilter with the countable intersection property.
     """
     return [principal_ultrafilter(algebra, atom) for atom in algebra.atoms]
-
-
-def check_dichotomy(u: UltrafilterRecord, b: SubsetMask) -> bool:
-    """True iff exactly one of ``b`` and its complement is a member."""
-    if not u.is_ultrafilter:
-        raise PreconditionError("dichotomy is only meaningful for ultrafilters")
-    u.algebra.require_member(b)
-    return (b in u.members) != (b.complement() in u.members)
-
-
-def check_union_membership(u: UltrafilterRecord, bs: list[SubsetMask]) -> bool:
-    """Whether (union in U) iff (some listed set in U) holds.
-
-    A test predicate: for an ultrafilter with c.i.p. the biconditional is
-    a theorem, so this must always return True.
-    """
-    if not (u.is_ultrafilter and u.has_cip):
-        raise PreconditionError("needs an ultrafilter with c.i.p.")
-    union = u.algebra.ground.empty
-    for b in bs:
-        u.algebra.require_member(b)
-        union = union | b
-    return (union in u.members) == any(b in u.members for b in bs)
 
 
 def extend_to_ultrafilter(base: SetFamily) -> UltrafilterRecord:
@@ -188,9 +169,7 @@ def extend_to_ultrafilter(base: SetFamily) -> UltrafilterRecord:
         raise PreconditionError(f"not a filter-base: {reason}")
     for atom in base.algebra.atoms:
         if atom.issubset(record.kernel):
-            result = principal_ultrafilter(base.algebra, atom)
-            assert base.members <= result.members
-            return result
+            return principal_ultrafilter(base.algebra, atom)
     raise AssertionError("a filter-base kernel contains an atom")
 
 
@@ -234,39 +213,12 @@ def measure_from_ultrafilter(u: UltrafilterRecord) -> ZeroOneMeasure:
 def ultrafilter_from_01_measure(m: ZeroOneMeasure) -> UltrafilterRecord:
     """The family of measure-1 sets of a nontrivial {0,1}-valued measure.
 
-    Verified to be an ultrafilter with c.i.p.; inverse to
-    :func:`measure_from_ultrafilter`.
+    Those are the sets containing the unit atom, so this is the principal
+    ultrafilter of that atom; inverse to :func:`measure_from_ultrafilter`.
     """
     if not m.is_nontrivial:
         raise PreconditionError("the measure is trivial (identically zero)")
-    members = frozenset(s for s in m.ms.algebra.sets() if m.ms.measure_of(s) == ONE)
-    record = classify_family(SetFamily(m.ms.algebra, members))
-    assert record.is_ultrafilter and record.has_cip
-    return record
-
-
-def check_sup_property(m: ZeroOneMeasure, family: SetFamily) -> bool:
-    """Whether measure(union of family) equals sup of member measures.
-
-    Precondition (checked): the null sets of ``m`` cover the ground set.
-    On a finite space this forces ``m`` to be trivial, so the check can
-    only ever run against the zero measure; it exists to state the
-    general property honestly, finite collapse included.
-    """
-    if family.algebra != m.ms.algebra:
-        raise GroundMismatchError("family and measure live on different algebras")
-    if not m.ms.null_sets_cover_ground():
-        raise PreconditionError("the null sets of the measure do not cover the space")
-    union = m.ms.algebra.ground.empty
-    for member in family.members:
-        union = union | member
-    m.ms.algebra.require_member(union)
-    supremum = ZERO
-    for member in family.members:
-        value = m.ms.measure_of(member)
-        if supremum < value:
-            supremum = value
-    return m.ms.measure_of(union) == supremum
+    return principal_ultrafilter(m.ms.algebra, m.unit_atom)
 
 
 def lift_to_superspace(
@@ -276,8 +228,9 @@ def lift_to_superspace(
 
     Requires X to be measurable in the superalgebra and the ultrafilter's
     algebra to be exactly the trace on X.  The lift is the up-set
-    {G : G contains some member of f}, an ultrafilter with c.i.p.; it is
-    free iff ``f`` is free (never, finitely).
+    {G : G contains some member of f}: the principal ultrafilter of the
+    kernel of ``f``, which is an atom of the superalgebra since X is
+    measurable.  It has c.i.p. and is fixed, like ``f``.
     """
     if not f.is_ultrafilter:
         raise PreconditionError("needs an ultrafilter")
@@ -291,15 +244,7 @@ def lift_to_superspace(
         raise PreconditionError(
             "the ultrafilter's algebra is not the trace of the superalgebra on X"
         )
-    lifted = frozenset(
-        g
-        for g in superalgebra.sets()
-        if any(transfer_mask(m, superalgebra.ground).issubset(g) for m in f.members)
-    )
-    record = classify_family(SetFamily(superalgebra, lifted))
-    assert record.is_ultrafilter and record.has_cip
-    assert record.is_free == f.is_free
-    return record
+    return principal_ultrafilter(superalgebra, transfer_mask(f.kernel, superalgebra.ground))
 
 
 def restrict_by_trace(h: UltrafilterRecord, x: SubsetMask) -> UltrafilterRecord:

@@ -151,8 +151,10 @@ def record_from_obj(raw: Any) -> tuple[UltrafilterRecord, MeasureSpace | None]:
     """Parse a family or record; flags are recomputed, never trusted."""
     family, ms = family_from_obj(raw)
     record = classify_family(family)
-    if "kernel" in raw and set(raw["kernel"]) != set(record.kernel.labels()):
-        raise InputFormatError("stored kernel does not match the family")
+    if "kernel" in raw:
+        kernel = _string_list(raw["kernel"], "kernel")
+        if set(kernel) != set(record.kernel.labels()):
+            raise InputFormatError("stored kernel does not match the family")
     return record, ms
 
 
@@ -162,8 +164,20 @@ def _mask_dict_key(mask: SubsetMask) -> str:
     return ",".join(mask.labels())
 
 
-def _mask_from_dict_key(ground: GroundSet, key: str) -> SubsetMask:
-    return ground.mask(key.split(",") if key else [])
+def _masks_from_dict_keys(ground: GroundSet, raw: dict, what: str):
+    """Yield (mask, key, value) per entry of an object keyed by sets.
+
+    Two keys naming one set ("a,b" and "b,a") are rejected, not merged.
+    """
+    seen: dict[SubsetMask, str] = {}
+    for key, value in raw.items():
+        mask = ground.mask(key.split(",") if key else [])
+        if mask in seen:
+            raise InputFormatError(
+                f"{what} keys {seen[mask]!r} and {key!r} name the same set"
+            )
+        seen[mask] = key
+        yield mask, key, value
 
 
 def kit_to_obj(kit: ExtensionKit) -> dict:
@@ -192,8 +206,7 @@ def kit_from_obj(raw: Any) -> ExtensionKit:
     if not isinstance(dfamily_raw, dict):
         raise InputFormatError("kit.dfamily must be an object keyed by base sets")
     dfamily = {}
-    for key, ds in dfamily_raw.items():
-        b = _mask_from_dict_key(base.ground, key)
+    for b, key, ds in _masks_from_dict_keys(base.ground, dfamily_raw, "kit.dfamily"):
         if not isinstance(ds, list):
             raise InputFormatError(f"kit.dfamily[{key!r}] must be a list of label lists")
         dfamily[b] = frozenset(
@@ -203,10 +216,8 @@ def kit_from_obj(raw: Any) -> ExtensionKit:
     if not isinstance(fibers_raw, dict):
         raise InputFormatError("kit.fibers must be an object keyed by kernels")
     fibers = {
-        _mask_from_dict_key(base.ground, key): tuple(
-            _string_list(labels, f"kit.fibers[{key!r}]")
-        )
-        for key, labels in fibers_raw.items()
+        kernel: tuple(_string_list(labels, f"kit.fibers[{key!r}]"))
+        for kernel, key, labels in _masks_from_dict_keys(base.ground, fibers_raw, "kit.fibers")
     }
     return ExtensionKit(base, pasted, dfamily, fibers)
 

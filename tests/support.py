@@ -1,9 +1,13 @@
-"""Shared builders and independent oracles for the test suite.
+"""Shared builders, independent oracles and theorem predicates for the
+test suite.
 
-The oracles here intentionally avoid the library's own code paths: set
-families are plain frozensets of bitmasks, partitions are enumerated via
+The brute-force oracles avoid the library's own code paths: set families
+are plain frozensets of bitmasks, partitions are enumerated via
 restricted growth strings, and closure is computed by fixpoint iteration.
-They exist so constructive results can be checked against brute force.
+The scan oracles keep the definition-by-definition code that the library
+replaced with atom-level constructions (classifying families with
+``classify_family``, scanning every measurable set), so each fast path is
+checked against its definition on all small instances.
 """
 from __future__ import annotations
 
@@ -13,16 +17,26 @@ from measpace import (
     INFINITY,
     ONE,
     ZERO,
+    DecompositionRecord,
     EmbeddingReport,
     ExtensionKit,
+    GroundMismatchError,
     GroundSet,
     MeasureSpace,
+    PointAssignment,
+    PreconditionError,
+    SetFamily,
     SigmaAlgebra,
+    SubsetMask,
     all_sigma_algebras,
     auto_fibers,
+    check_measurable_embedding,
+    check_measure_embedding,
+    classify_family,
     mask_key,
     transfer_mask,
 )
+from measpace.embeddings import _induced_base
 
 
 def G(*labels):
@@ -336,3 +350,153 @@ def embedding_report_oracle(small: MeasureSpace, big: MeasureSpace) -> Embedding
         if big.measure_of(c) != small.measure_of(t):
             return EmbeddingReport(False, "measure-mismatch", c)
     return EmbeddingReport(True)
+
+
+# ------------------------------------------------------------- theorem predicates
+# Each states a theorem of the paper as a biconditional, so on valid input
+# it must return True.
+
+def check_dichotomy(u, b) -> bool:
+    """True iff exactly one of ``b`` and its complement is a member."""
+    if not u.is_ultrafilter:
+        raise PreconditionError("dichotomy is only meaningful for ultrafilters")
+    u.algebra.require_member(b)
+    return (b in u.members) != (b.complement() in u.members)
+
+
+def check_union_membership(u, bs) -> bool:
+    """Whether (union in U) iff (some listed set in U) holds.
+
+    For an ultrafilter with c.i.p. the biconditional is a theorem, so this
+    must always return True.
+    """
+    if not (u.is_ultrafilter and u.has_cip):
+        raise PreconditionError("needs an ultrafilter with c.i.p.")
+    union = u.algebra.ground.empty
+    for b in bs:
+        u.algebra.require_member(b)
+        union = union | b
+    return (union in u.members) == any(b in u.members for b in bs)
+
+
+def check_sup_property(m, family) -> bool:
+    """Whether measure(union of family) equals sup of member measures.
+
+    Precondition (checked): the null sets of ``m`` cover the ground set.
+    On a finite space this forces ``m`` to be trivial, so the check can
+    only ever run against the zero measure; it states the general
+    property honestly, finite collapse included.
+    """
+    if family.algebra != m.ms.algebra:
+        raise GroundMismatchError("family and measure live on different algebras")
+    if not m.ms.null_sets_cover_ground():
+        raise PreconditionError("the null sets of the measure do not cover the space")
+    union = m.ms.algebra.ground.empty
+    for member in family.members:
+        union = union | member
+    m.ms.algebra.require_member(union)
+    supremum = ZERO
+    for member in family.members:
+        value = m.ms.measure_of(member)
+        if supremum < value:
+            supremum = value
+    return m.ms.measure_of(union) == supremum
+
+
+def check_thickness_equivalence(small, big) -> bool:
+    """Embedding holds iff X is thick and lambda = mu o trace.
+
+    Requires the measurable-space embedding; under it, the measure
+    embedding forces X to have full outer measure, so the biconditional
+    must always come back True.
+    """
+    if not check_measurable_embedding(small.algebra, big.algebra):
+        raise PreconditionError("the measurable-space embedding does not hold")
+    x = big.ground.mask(small.ground.labels)
+    lhs = check_measure_embedding(small, big)
+    rhs = big.is_thick(x) and all(
+        big.measure_of(c) == small.measure_of(transfer_mask(c & x, small.ground))
+        for c in big.algebra.sets()
+    )
+    return lhs == rhs
+
+
+# ------------------------------------------------------------- scan oracles
+# Each computes by scanning measurable sets what the library builds from
+# the atom partition.
+
+def outer_measure_oracle(ms, s):
+    """min over the measurable supersets of ``s`` of their measure."""
+    return min(ms.measure_of(c) for c in ms.algebra.sets() if s.bits & ~c.bits == 0)
+
+
+def inner_measure_oracle(ms, s):
+    """max over the measurable subsets of ``s`` of their measure."""
+    return max(ms.measure_of(c) for c in ms.algebra.sets() if c.bits & ~s.bits == 0)
+
+
+def is_thick_oracle(ms, x) -> bool:
+    """The complement of ``x`` has inner measure zero, by scan."""
+    return inner_measure_oracle(ms, x.complement()) == ZERO
+
+
+def principal_ultrafilter_oracle(algebra, atom):
+    """The up-set of ``atom``, classified by direct definition."""
+    members = frozenset(s for s in algebra.sets() if atom.issubset(s))
+    return classify_family(SetFamily(algebra, members))
+
+
+def ultrafilter_from_01_measure_oracle(m):
+    """The measure-1 sets of a {0,1}-valued measure, classified."""
+    members = frozenset(s for s in m.ms.algebra.sets() if m.ms.measure_of(s) == ONE)
+    return classify_family(SetFamily(m.ms.algebra, members))
+
+
+def lift_to_superspace_oracle(f, superalgebra):
+    """{G : G contains some member of f}, classified."""
+    lifted = frozenset(
+        g
+        for g in superalgebra.sets()
+        if any(transfer_mask(m, superalgebra.ground).issubset(g) for m in f.members)
+    )
+    return classify_family(SetFamily(superalgebra, lifted))
+
+
+def decompose_extension_oracle(big, x):
+    """The canonical kit read set by set: D_B collects the Z-traces of
+    the sets whose X-trace is B, and each outside point p in a big atom
+    that meets X goes to the kernel of the classified family
+    {C & X : p in C}.
+    """
+    small = _induced_base(big, x)
+    z_bits = 0
+    for atom in big.algebra.atoms:
+        if atom.bits & x.bits == 0:
+            z_bits |= atom.bits
+    z_part = SubsetMask(big.ground, z_bits)
+    z_ground = GroundSet(z_part.labels())
+    pasted = SigmaAlgebra(
+        z_ground,
+        tuple(transfer_mask(a, z_ground) for a in big.algebra.atoms if a.issubset(z_part)),
+    )
+    dfamily = {}
+    for c in big.algebra.sets():
+        b = transfer_mask(c & x, small.ground)
+        dfamily.setdefault(b, set()).add(transfer_mask(c & z_part, z_ground))
+    fibers = {}
+    assignment = {label: PointAssignment("pasted") for label in z_part.labels()}
+    for atom in big.algebra.atoms:
+        inside, stuck = atom & x, atom - x
+        if not inside or not stuck:
+            continue
+        members = frozenset(
+            transfer_mask(c & x, small.ground) for c in big.algebra.sets() if atom.issubset(c)
+        )
+        record = classify_family(SetFamily(small.algebra, members))
+        if not (record.is_ultrafilter and record.has_cip):
+            raise PreconditionError(f"the family of {atom!r} is not a c.i.p. ultrafilter")
+        fibers[record.kernel] = stuck.labels()
+        for label in stuck.labels():
+            assignment[label] = PointAssignment("fiber", record.kernel)
+    kit = ExtensionKit(small, pasted, {b: frozenset(ds) for b, ds in dfamily.items()}, fibers)
+    return DecompositionRecord(z_part=z_part, kit=kit, point_assignment=assignment)

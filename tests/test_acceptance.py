@@ -20,11 +20,8 @@ from measpace import (
     SigmaAlgebra,
     ZERO,
     all_sigma_algebras,
-    check_dichotomy,
     check_measurable_embedding,
     check_measure_embedding,
-    check_thickness_equivalence,
-    check_union_membership,
     construct_extension,
     decompose_extension,
     enumerate_extensions,
@@ -40,7 +37,14 @@ from measpace import (
     y_section,
 )
 
-from support import brute_force_ultrafilters, count_extensions_oracle, small_kits
+from support import (
+    brute_force_ultrafilters,
+    check_dichotomy,
+    check_thickness_equivalence,
+    check_union_membership,
+    count_extensions_oracle,
+    small_kits,
+)
 
 
 class _Timer:

@@ -137,6 +137,41 @@ def test_error_objects(capsys, tmp_path):
     err = json.loads(capsys.readouterr().out)["error"]
     assert code == 2 and err["code"] == "bad-input"
 
+    code = run(["measure", "--space", fx("space1.json"), "--set", "[" * 100000])
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert code == 2 and err["code"] == "bad-input"
+
+    # an --out path that cannot be written is named in the error object
+    out = str(tmp_path / "no-such-dir" / "x.json")
+    code = run(["atoms", "--space", fx("space1.json"), "--out", out])
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert code == 2 and err["code"] == "bad-input" and err["path"] == out
+
+    # input that is not UTF-8, and JSON nested past the parser's limit
+    for name, data in (("latin.json", b"\xff\xfe{}"), ("deep.json", b"[" * 100000)):
+        path = tmp_path / name
+        path.write_bytes(data)
+        code = run(["atoms", "--space", str(path)])
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert code == 2 and err["code"] == "bad-input" and err["path"] == str(path)
+
+    # a non-list stored kernel, and two kit keys naming one set
+    uf = json.loads(Path(fx("uf_b.json")).read_text())
+    bad_kernel = tmp_path / "uf_kernel.json"
+    bad_kernel.write_text(json.dumps({**uf, "kernel": 5}))
+    kit = json.loads(Path(fx("kit_identity.json")).read_text())
+    kit["base"] = {"points": ["a", "b"], "atoms": [["a"], ["b"]], "values": ["1", "1"]}
+    kit["dfamily"] = {"": [[]], "a": [[]], "b": [[]], "a,b": [[]], "b,a": [[]]}
+    twice = tmp_path / "kit_twice.json"
+    twice.write_text(json.dumps(kit))
+    for argv in (
+        ["uf-to-measure", "--space", str(bad_kernel)],
+        ["validate-kit", "--kit", str(twice)],
+    ):
+        code = run(argv)
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert code == 2 and err["code"] == "bad-input" and err["path"] == argv[2]
+
 
 def test_invalid_kit_is_input_error_for_construct(capsys):
     code = run(["construct", "--kit", fx("kit_bad.json")])

@@ -1,5 +1,6 @@
 """Core spaces: ground sets, masks, algebras, exact measures."""
 from fractions import Fraction
+from itertools import product as iproduct
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,13 +17,23 @@ from measpace import (
     NotMeasurableError,
     SigmaAlgebra,
     SizeCapError,
+    SubsetMask,
     all_sigma_algebras,
     generate_sigma_algebra,
     trace_algebra,
 )
 from measpace.partitions import set_partitions
 
-from support import G, alg, atoms_of_family, closure_oracle, space
+from support import (
+    G,
+    alg,
+    atoms_of_family,
+    closure_oracle,
+    inner_measure_oracle,
+    is_thick_oracle,
+    outer_measure_oracle,
+    space,
+)
 
 
 # ------------------------------------------------------------- ExtReal
@@ -241,6 +252,24 @@ def test_inner_below_outer_with_equality_on_measurable():
         assert ms.inner_measure(s) <= ms.outer_measure(s)
         if ms.algebra.member(s):
             assert ms.inner_measure(s) == ms.outer_measure(s) == ms.measure_of(s)
+
+
+def test_inner_outer_thick_match_scans_up_to_4():
+    # every subset of every space on up to 4 points, values in {0, 1, 2, inf}
+    values = (ZERO, ONE, ExtReal.of(2), INFINITY)
+    spaces = 0
+    for n in range(5):
+        g = GroundSet(tuple("abcd"[:n]))
+        for algebra in all_sigma_algebras(g):
+            for vals in iproduct(values, repeat=len(algebra.atoms)):
+                ms = MeasureSpace(algebra, vals)
+                spaces += 1
+                for bits in range(1 << n):
+                    s = SubsetMask(g, bits)
+                    assert ms.outer_measure(s) == outer_measure_oracle(ms, s)
+                    assert ms.inner_measure(s) == inner_measure_oracle(ms, s)
+                    assert ms.is_thick(s) == is_thick_oracle(ms, s)
+    assert spaces == 1 + 4 + 20 + 116 + 756
 
 
 @given(st.integers(1, 6), st.data())

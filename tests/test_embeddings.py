@@ -20,7 +20,6 @@ from measpace import (
     all_sigma_algebras,
     check_measurable_embedding,
     check_measure_embedding,
-    check_thickness_equivalence,
     classify_outside_points,
     construct_extension,
     decompose_extension,
@@ -36,7 +35,9 @@ from measpace import embeddings
 from support import (
     G,
     alg,
+    check_thickness_equivalence,
     count_extensions_oracle,
+    decompose_extension_oracle,
     embedding_report_oracle,
     rgs_partitions,
     small_kits,
@@ -487,3 +488,12 @@ def test_measure_embedding_report_matches_oracle():
             assert report == embedding_report_oracle(base, big)
             outcomes.add(report.reason)
     assert outcomes == {None, "trace-mismatch", "measure-mismatch"}
+
+
+def test_decompose_extension_matches_set_by_set_decomposition():
+    seen = 0
+    for base, ext in _extensions_up_to(5):
+        x = ext.ground.mask(base.ground.labels)
+        assert decompose_extension(ext, x) == decompose_extension_oracle(ext, x)
+        seen += 1
+    assert seen == 221

@@ -11,20 +11,30 @@ from measpace import (
     ZERO,
     ZeroOneMeasure,
     all_sigma_algebras,
-    check_dichotomy,
-    check_sup_property,
-    check_union_membership,
     classify_family,
     enumerate_ultrafilters,
     extend_to_ultrafilter,
     lift_to_superspace,
     measure_from_ultrafilter,
+    principal_ultrafilter,
     restrict_by_trace,
     trace_algebra,
     ultrafilter_from_01_measure,
 )
 
-from support import G, alg, brute_force_ultrafilters, has_cip_oracle, space
+from support import (
+    G,
+    alg,
+    brute_force_ultrafilters,
+    check_dichotomy,
+    check_sup_property,
+    check_union_membership,
+    has_cip_oracle,
+    lift_to_superspace_oracle,
+    principal_ultrafilter_oracle,
+    space,
+    ultrafilter_from_01_measure_oracle,
+)
 
 
 def fam(algebra, *label_groups):
@@ -98,6 +108,41 @@ def test_enumerate_examples_against_brute_force():
         produced = [frozenset(m.bits for m in r.members) for r in records]
         assert len(oracle) == len(produced)
         assert set(oracle) == set(produced)
+
+
+def _algebras_up_to(n_max):
+    for n in range(n_max + 1):
+        yield from all_sigma_algebras(GroundSet(tuple("abcde"[:n])))
+
+
+def test_principal_ultrafilter_matches_classified_upset_up_to_5():
+    for algebra in _algebras_up_to(5):
+        for atom in algebra.atoms:
+            assert principal_ultrafilter(algebra, atom) == principal_ultrafilter_oracle(
+                algebra, atom
+            )
+        with pytest.raises(PreconditionError):
+            principal_ultrafilter(algebra, algebra.ground.empty)
+
+
+def test_ultrafilter_from_01_measure_matches_scan_up_to_5():
+    for algebra in _algebras_up_to(5):
+        for atom in algebra.atoms:
+            values = tuple(ONE if a == atom else ZERO for a in algebra.atoms)
+            zm = ZeroOneMeasure(MeasureSpace(algebra, values))
+            assert ultrafilter_from_01_measure(zm) == ultrafilter_from_01_measure_oracle(zm)
+
+
+def test_lift_to_superspace_matches_scan_up_to_4():
+    # every superalgebra on up to 4 points and every measurable X in it
+    lifted = 0
+    for big in _algebras_up_to(4):
+        for x in big.sets():
+            small = trace_algebra(big, x)
+            for f in enumerate_ultrafilters(small):
+                assert lift_to_superspace(f, big) == lift_to_superspace_oracle(f, big)
+                lifted += 1
+    assert lifted > 100
 
 
 def test_finite_dichotomy_up_to_5_points():

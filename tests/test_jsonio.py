@@ -90,6 +90,14 @@ def test_family_and_record_round_trip():
         record_from_obj(tampered)
 
 
+def test_record_kernel_must_be_a_label_list():
+    g = G("a", "b")
+    robj = record_to_obj(enumerate_ultrafilters(alg(g, ["a"], ["b"]))[0])
+    for kernel in (5, "a", [1]):
+        with pytest.raises(InputFormatError, match="kernel must be a list of strings"):
+            record_from_obj({**robj, "kernel": kernel})
+
+
 def test_family_space_may_carry_values():
     ms = space(G("a", "b"), (["a"], ["b"]), (1, 0))
     obj = {"space": space_to_obj(ms), "members": [["a"]]}
@@ -114,6 +122,18 @@ def test_kit_round_trip():
     assert kit_from_obj(obj) == kit
 
     assert kit_from_obj(kit_to_obj(identity_kit(base))) == identity_kit(base)
+
+
+def test_kit_keys_naming_one_set_are_rejected():
+    base = space(G("a", "b"), (["a"], ["b"]), (1, 1))
+    obj = kit_to_obj(identity_kit(base))
+    assert kit_from_obj(obj) == identity_kit(base)
+    twice = {**obj, "dfamily": {**obj["dfamily"], "b,a": [[]]}}
+    with pytest.raises(InputFormatError, match="'a,b' and 'b,a' name the same set"):
+        kit_from_obj(twice)
+    fibers = {**obj, "fibers": {"a": ["p"], "a,a": ["q"]}}
+    with pytest.raises(InputFormatError, match="kit.fibers keys 'a' and 'a,a'"):
+        kit_from_obj(fibers)
 
 
 def test_decomposition_obj_shape():

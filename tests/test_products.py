@@ -75,7 +75,7 @@ def test_rectangle_generation_equals_atom_product_up_to_3():
                     right = MeasureSpace(
                         ra, tuple(values[i % 3] for i in range(len(ra.atoms)))
                     )
-                    ps = product_space(left, right)  # asserts internally as well
+                    ps = product_space(left, right)
                     rects = [
                         ps.rectangle(b, c)
                         for b in la.sets()
