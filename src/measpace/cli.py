@@ -54,7 +54,7 @@ def _read_json(path: str):
         raise _path_error(f"cannot read {path}: not UTF-8 text", path) from None
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a syntax error, or an integer too long to convert
         raise _path_error(f"not valid JSON: {exc}", path) from None
     except RecursionError:
         raise _path_error("not valid JSON: nested too deeply", path) from None
@@ -72,7 +72,7 @@ def _load(path: str, loader):
 def _set_arg(args) -> list[str]:
     try:
         labels = json.loads(args.set)
-    except (json.JSONDecodeError, RecursionError):
+    except (ValueError, RecursionError):
         raise InputFormatError("--set must be a JSON array of labels") from None
     if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
         raise InputFormatError("--set must be a JSON array of labels")

@@ -9,6 +9,7 @@ between threads.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -25,6 +26,12 @@ from .partitions import set_partitions
 #: Hard cap on ground-set size (bitmask width).  Exhaustive enumeration is
 #: only practical well below this; see ``enumerate_extensions``.
 MAX_POINTS = 16
+
+# Value strings may carry at most this many digits and an exponent of at
+# most this size (CPython's default cap on int <-> str conversion), so
+# "1e999999999" is refused before Fraction builds a billion-digit integer.
+_MAX_DIGITS = 4300
+_EXPONENT = re.compile(r"e([-+]?\d[\d_]*)$", re.IGNORECASE)
 
 
 @dataclass(frozen=True)
@@ -63,6 +70,14 @@ class ExtReal:
             text = value.strip()
             if text == "inf":
                 return cls(None)
+            exponent = _EXPONENT.search(text)
+            if sum(ch.isdigit() for ch in text) > _MAX_DIGITS or (
+                exponent and abs(int(exponent[1].replace("_", ""))) > _MAX_DIGITS
+            ):
+                raise InputFormatError(
+                    f"measure value has more than {_MAX_DIGITS} digits "
+                    f"or an exponent beyond +-{_MAX_DIGITS}"
+                )
             try:
                 return cls(Fraction(text))
             except (ValueError, ZeroDivisionError):
@@ -318,16 +333,6 @@ class SigmaAlgebra:
 
     def sorted_sets(self) -> list[SubsetMask]:
         return sorted(self.sets(), key=mask_key)
-
-    def atoms_within(self, s: SubsetMask) -> tuple[SubsetMask, ...]:
-        return tuple(a for a in self.atoms if a.bits & ~s.bits == 0)
-
-    def atom_containing(self, label: str) -> SubsetMask:
-        bit = 1 << self.ground.index(label)
-        for atom in self.atoms:
-            if atom.bits & bit:
-                return atom
-        raise AssertionError("atoms cover the ground set")
 
     def __repr__(self) -> str:
         return "SigmaAlgebra[%s]" % "|".join(repr(a) for a in self.atoms)

@@ -1,10 +1,14 @@
 """Filters and ultrafilters inside a finite sigma-algebra.
 
-Classification is by direct definition (filter-base, filter, ultrafilter
-criterion, countable intersection property, free/fixed); on a finite
-algebra the countable clauses reduce to finite ones, and the c.i.p. flag
-collapses to "nonempty kernel".  The test suite checks that collapse
-against the subfamily definition rather than assuming it.
+Every question about a family is decided from its kernel K, the
+intersection of its members.  A filter-base F has a least member: take a
+member m of minimal size; for any member b some nonempty member lies
+below m & b, and it can only be m itself, so m lies below b.  That least
+member is K.  Hence F is a filter-base exactly when K is a nonempty
+member, a filter exactly when F is the whole up-set of K, and an
+ultrafilter exactly when it is a filter and K is an atom; on a finite
+algebra the countable intersection property collapses to "K nonempty".
+The test suite checks each flag against its definition.
 
 Every ultrafilter of a finite algebra is the up-set of an atom, so the
 ones this module returns are built from their atom by
@@ -75,58 +79,40 @@ class UltrafilterRecord:
 
 
 def classify_family(family: SetFamily) -> UltrafilterRecord:
-    """Compute every classification flag by its direct definition.
+    """Compute every classification flag from the kernel K.
 
-    - filter-base: nonempty, and every two members contain a nonempty
-      member below their intersection;
-    - filter: filter-base, closed upward and under binary intersections;
-    - ultrafilter: filter-base such that any measurable set meeting every
-      member is itself a member;
-    - c.i.p.: every finite subfamily has nonempty intersection, which for
-      a finite family is equivalent to a nonempty kernel;
-    - free: empty kernel.
+    - filter-base (nonempty, and every two members contain a nonempty
+      member below their intersection): K is nonempty and a member.  A
+      minimal-size member lies below every other member, so it is K;
+    - filter (filter-base, closed upward and under binary
+      intersections): a filter-base with 2^j members, j the number of
+      atoms outside K.  Its members all lie above K, and exactly 2^j
+      measurable sets do, so it is the whole up-set of K;
+    - ultrafilter (filter-base such that any measurable set meeting every
+      member is itself a member): a filter whose K is an atom.  A set
+      meets every member exactly when it meets K; for an atom K that
+      means it contains K, and otherwise an atom strictly inside K meets
+      every member without being one;
+    - c.i.p. (every finite subfamily has nonempty intersection): K is
+      nonempty;
+    - free: K is empty.
     """
     algebra = family.algebra
-    ground = algebra.ground
-    # raw-int mirror of the members, smallest sets first so that the
-    # "find a nonempty member below ..." scans exit early
-    member_bits = sorted(
-        (m.bits for m in family.members), key=lambda b: (b.bit_count(), b)
-    )
-    member_set = set(member_bits)
-    all_bits = [s.bits for s in algebra.sets()]
-    kernel_bits = (1 << ground.size) - 1
-    for b in member_bits:
-        kernel_bits &= b
-
-    def nonempty_member_below(target: int) -> bool:
-        return any(c and c & ~target == 0 for c in member_bits)
-
-    is_filter_base = bool(member_bits) and all(
-        nonempty_member_below(a & b) for a in member_bits for b in member_bits
-    )
-    upward_closed = all(
-        b in member_set or not any(f & ~b == 0 for f in member_bits)
-        for b in all_bits
-    )
-    intersection_closed = all(
-        (a & b) in member_set for a in member_bits for b in member_bits
-    )
-    is_filter = is_filter_base and upward_closed and intersection_closed
-    is_ultrafilter = is_filter_base and all(
-        b in member_set or any(b & m == 0 for m in member_bits)
-        for b in all_bits
-    )
-    kernel = SubsetMask(ground, kernel_bits)
-    has_cip = kernel.bits != 0
+    kernel_bits = (1 << algebra.ground.size) - 1
+    for m in family.members:
+        kernel_bits &= m.bits
+    kernel = SubsetMask(algebra.ground, kernel_bits)
+    is_filter_base = bool(kernel) and kernel in family.members
+    outside = sum(1 for atom in algebra.atoms if atom.bits & ~kernel.bits)
+    is_filter = is_filter_base and len(family.members) == 1 << outside
     return UltrafilterRecord(
         family=family,
         kernel=kernel,
         is_filter_base=is_filter_base,
         is_filter=is_filter,
-        is_ultrafilter=is_ultrafilter,
-        has_cip=has_cip,
-        is_free=not has_cip,
+        is_ultrafilter=is_filter and kernel in algebra.atoms,
+        has_cip=bool(kernel),
+        is_free=not kernel,
     )
 
 
@@ -167,10 +153,8 @@ def extend_to_ultrafilter(base: SetFamily) -> UltrafilterRecord:
         else:
             reason = "some pair of members has no nonempty member below it"
         raise PreconditionError(f"not a filter-base: {reason}")
-    for atom in base.algebra.atoms:
-        if atom.issubset(record.kernel):
-            return principal_ultrafilter(base.algebra, atom)
-    raise AssertionError("a filter-base kernel contains an atom")
+    atom = next(a for a in base.algebra.atoms if a.issubset(record.kernel))
+    return principal_ultrafilter(base.algebra, atom)
 
 
 @dataclass(frozen=True)
@@ -251,18 +235,19 @@ def restrict_by_trace(h: UltrafilterRecord, x: SubsetMask) -> UltrafilterRecord:
     """Push an ultrafilter on Y down to the trace algebra on X.
 
     Requires every member of ``h`` to meet ``x`` (if some member misses
-    X, the ultrafilter lives over the complement and has no trace).  The
-    traces {H intersect X} form a filter-base, which is extended to an
-    ultrafilter deterministically.
+    X, the ultrafilter lives over the complement and has no trace); the
+    kernel is a member below all others, so that holds exactly when the
+    kernel meets X.  The traces {H intersect X} then form a filter-base
+    whose kernel, the trace of h's atom kernel, is an atom of the trace
+    algebra, so they extend to that atom's principal ultrafilter.
     """
     if x.ground != h.algebra.ground:
         raise GroundMismatchError("x is over a different ground set")
     if not (h.is_ultrafilter and h.has_cip):
         raise PreconditionError("needs an ultrafilter with c.i.p.")
-    for member in h.family.sorted_members():
-        if member.isdisjoint(x):
-            raise PreconditionError(f"member {member!r} does not meet X")
+    if h.kernel.isdisjoint(x):
+        member = next(m for m in h.family.sorted_members() if m.isdisjoint(x))
+        raise PreconditionError(f"member {member!r} does not meet X")
     target = GroundSet(x.labels())
     small = trace_algebra(h.algebra, x, target)
-    traces = frozenset(transfer_mask(m & x, target) for m in h.members)
-    return extend_to_ultrafilter(SetFamily(small, traces))
+    return principal_ultrafilter(small, transfer_mask(h.kernel & x, target))

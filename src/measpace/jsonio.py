@@ -31,7 +31,10 @@ def canonical_dumps(obj: Any) -> str:
 # ---------------------------------------------------------------- values
 
 def value_to_str(value: ExtReal) -> str:
-    return str(value)
+    try:
+        return str(value)
+    except ValueError:  # past the interpreter's cap on int -> str digits
+        raise InputFormatError("a measure value has too many digits to print") from None
 
 
 def value_from_obj(raw: Any) -> ExtReal:

@@ -18,7 +18,7 @@ from .core import (
     SubsetMask,
 )
 from .errors import GroundMismatchError, PreconditionError, SizeCapError
-from .filters import SetFamily, UltrafilterRecord, extend_to_ultrafilter
+from .filters import UltrafilterRecord, principal_ultrafilter
 
 
 def _escape(label: str) -> str:
@@ -28,6 +28,11 @@ def _escape(label: str) -> str:
 def pair_label(left: str, right: str) -> str:
     """Canonical composite label "(x|y)"; "|" in inputs is escaped."""
     return f"({_escape(left)}|{_escape(right)})"
+
+
+def _rectangle_bits(b: SubsetMask, c: SubsetMask) -> int:
+    """B x C as raw product bits: row i of the product is C shifted by i * |right|."""
+    return sum(c.bits << i * c.ground.size for i in b.indices())
 
 
 @dataclass(frozen=True)
@@ -49,11 +54,7 @@ class ProductSpace:
         """The product set B x C as a mask over the product ground."""
         if b.ground != self.left.ground or c.ground != self.right.ground:
             raise GroundMismatchError("rectangle sides must come from the factors")
-        bits = 0
-        for i in b.indices():
-            for j in c.indices():
-                bits |= 1 << self.pair_bit(i, j)
-        return SubsetMask(self.product.ground, bits)
+        return SubsetMask(self.product.ground, _rectangle_bits(b, c))
 
 
 def product_space(left: MeasureSpace, right: MeasureSpace) -> ProductSpace:
@@ -68,20 +69,11 @@ def product_space(left: MeasureSpace, right: MeasureSpace) -> ProductSpace:
         pair_label(lx, ry) for lx in left.ground.labels for ry in right.ground.labels
     )
     ground = GroundSet(labels)
-    rsize = right.ground.size
-
-    def rect_bits(b: SubsetMask, c: SubsetMask) -> int:
-        bits = 0
-        for i in b.indices():
-            for j in c.indices():
-                bits |= 1 << (i * rsize + j)
-        return bits
-
     atoms = []
     values = []
     for la, lv in zip(left.algebra.atoms, left.atom_values):
         for ra, rv in zip(right.algebra.atoms, right.atom_values):
-            atoms.append(SubsetMask(ground, rect_bits(la, ra)))
+            atoms.append(SubsetMask(ground, _rectangle_bits(la, ra)))
             values.append(lv * rv)
     algebra = SigmaAlgebra(ground, tuple(atoms))
 
@@ -109,8 +101,10 @@ def lift_ultrafilter(ps: ProductSpace, f: UltrafilterRecord, y: str) -> Ultrafil
     """Lift a left-factor ultrafilter to the product along the slice at y.
 
     Requires {y} to be measurable on the right.  The rectangles
-    F x {y} form a filter-base, extended deterministically to a product
-    ultrafilter with c.i.p.; the y-section of each member stays in f.
+    F x {y} form a filter-base whose kernel K x {y}, K the atom kernel of
+    f, is an atom of the product; the lift is that atom's principal
+    ultrafilter, which has c.i.p., and the y-section of each member stays
+    in f.
     """
     if f.algebra != ps.left.algebra:
         raise GroundMismatchError("the ultrafilter is not over the left factor")
@@ -121,8 +115,7 @@ def lift_ultrafilter(ps: ProductSpace, f: UltrafilterRecord, y: str) -> Ultrafil
     y_mask = ps.right.ground.singleton(y)
     if not ps.right.algebra.member(y_mask):
         raise PreconditionError(f"the singleton {{{y}}} is not measurable on the right")
-    slices = frozenset(ps.rectangle(F, y_mask) for F in f.members)
-    return extend_to_ultrafilter(SetFamily(ps.product.algebra, slices))
+    return principal_ultrafilter(ps.product.algebra, ps.rectangle(f.kernel, y_mask))
 
 
 def project_ultrafilter(
@@ -132,7 +125,10 @@ def project_ultrafilter(
 
     Requires singletons to be measurable in both factors and h to have
     c.i.p.  The left projection extends {B : B x Y in h}; the right one
-    is symmetric.  The kernels reconstitute the kernel of h.
+    is symmetric.  The kernel of h is then one point (i, j), that family
+    is the up-set of {i}, and the projections are the principal
+    ultrafilters of {i} and {j}, so the kernels reconstitute the kernel
+    of h.
     """
     if h.algebra != ps.product.algebra:
         raise GroundMismatchError("the ultrafilter is not over the product")
@@ -142,16 +138,7 @@ def project_ultrafilter(
         if not ms.algebra.is_discrete:
             raise PreconditionError(f"singletons are not measurable in the {side} factor")
 
-    left_base = frozenset(
-        b
-        for b in ps.left.algebra.sets()
-        if ps.rectangle(b, ps.right.ground.full) in h.members
-    )
-    right_base = frozenset(
-        c
-        for c in ps.right.algebra.sets()
-        if ps.rectangle(ps.left.ground.full, c) in h.members
-    )
-    left = extend_to_ultrafilter(SetFamily(ps.left.algebra, left_base))
-    right = extend_to_ultrafilter(SetFamily(ps.right.algebra, right_base))
+    i, j = divmod(h.kernel.bits.bit_length() - 1, ps.right.ground.size)
+    left = principal_ultrafilter(ps.left.algebra, SubsetMask(ps.left.ground, 1 << i))
+    right = principal_ultrafilter(ps.right.algebra, SubsetMask(ps.right.ground, 1 << j))
     return left, right

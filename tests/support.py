@@ -5,9 +5,10 @@ The brute-force oracles avoid the library's own code paths: set families
 are plain frozensets of bitmasks, partitions are enumerated via
 restricted growth strings, and closure is computed by fixpoint iteration.
 The scan oracles keep the definition-by-definition code that the library
-replaced with atom-level constructions (classifying families with
-``classify_family``, scanning every measurable set), so each fast path is
-checked against its definition on all small instances.
+replaced with atom-level and kernel-level constructions (classifying
+families with ``classify_family_oracle``, scanning every measurable
+set), so each fast path is checked against its definition on all small
+instances.
 """
 from __future__ import annotations
 
@@ -28,12 +29,13 @@ from measpace import (
     SetFamily,
     SigmaAlgebra,
     SubsetMask,
+    UltrafilterRecord,
     all_sigma_algebras,
     auto_fibers,
     check_measurable_embedding,
     check_measure_embedding,
-    classify_family,
     mask_key,
+    trace_algebra,
     transfer_mask,
 )
 from measpace.embeddings import _induced_base
@@ -53,6 +55,15 @@ def space(ground, atom_groups, values):
 
 def bits_of(ground, labels):
     return ground.mask(labels).bits
+
+
+def outcome(fn, *args):
+    """The value of ``fn(*args)``, or the type and message of its refusal,
+    so a routine and its oracle can be compared on refused input too."""
+    try:
+        return fn(*args)
+    except PreconditionError as exc:
+        return type(exc), str(exc)
 
 
 # ------------------------------------------------------------- oracles
@@ -440,16 +451,72 @@ def is_thick_oracle(ms, x) -> bool:
     return inner_measure_oracle(ms, x.complement()) == ZERO
 
 
+def classify_family_oracle(family: SetFamily) -> UltrafilterRecord:
+    """Compute every classification flag by its direct definition.
+
+    - filter-base: nonempty, and every two members contain a nonempty
+      member below their intersection;
+    - filter: filter-base, closed upward and under binary intersections;
+    - ultrafilter: filter-base such that any measurable set meeting every
+      member is itself a member;
+    - c.i.p.: every finite subfamily has nonempty intersection, which for
+      a finite family is equivalent to a nonempty kernel;
+    - free: empty kernel.
+    """
+    algebra = family.algebra
+    ground = algebra.ground
+    # raw-int mirror of the members, smallest sets first so that the
+    # "find a nonempty member below ..." scans exit early
+    member_bits = sorted(
+        (m.bits for m in family.members), key=lambda b: (b.bit_count(), b)
+    )
+    member_set = set(member_bits)
+    all_bits = [s.bits for s in algebra.sets()]
+    kernel_bits = (1 << ground.size) - 1
+    for b in member_bits:
+        kernel_bits &= b
+
+    def nonempty_member_below(target: int) -> bool:
+        return any(c and c & ~target == 0 for c in member_bits)
+
+    is_filter_base = bool(member_bits) and all(
+        nonempty_member_below(a & b) for a in member_bits for b in member_bits
+    )
+    upward_closed = all(
+        b in member_set or not any(f & ~b == 0 for f in member_bits)
+        for b in all_bits
+    )
+    intersection_closed = all(
+        (a & b) in member_set for a in member_bits for b in member_bits
+    )
+    is_filter = is_filter_base and upward_closed and intersection_closed
+    is_ultrafilter = is_filter_base and all(
+        b in member_set or any(b & m == 0 for m in member_bits)
+        for b in all_bits
+    )
+    kernel = SubsetMask(ground, kernel_bits)
+    has_cip = kernel.bits != 0
+    return UltrafilterRecord(
+        family=family,
+        kernel=kernel,
+        is_filter_base=is_filter_base,
+        is_filter=is_filter,
+        is_ultrafilter=is_ultrafilter,
+        has_cip=has_cip,
+        is_free=not has_cip,
+    )
+
+
 def principal_ultrafilter_oracle(algebra, atom):
     """The up-set of ``atom``, classified by direct definition."""
     members = frozenset(s for s in algebra.sets() if atom.issubset(s))
-    return classify_family(SetFamily(algebra, members))
+    return classify_family_oracle(SetFamily(algebra, members))
 
 
 def ultrafilter_from_01_measure_oracle(m):
     """The measure-1 sets of a {0,1}-valued measure, classified."""
     members = frozenset(s for s in m.ms.algebra.sets() if m.ms.measure_of(s) == ONE)
-    return classify_family(SetFamily(m.ms.algebra, members))
+    return classify_family_oracle(SetFamily(m.ms.algebra, members))
 
 
 def lift_to_superspace_oracle(f, superalgebra):
@@ -459,7 +526,79 @@ def lift_to_superspace_oracle(f, superalgebra):
         for g in superalgebra.sets()
         if any(transfer_mask(m, superalgebra.ground).issubset(g) for m in f.members)
     )
-    return classify_family(SetFamily(superalgebra, lifted))
+    return classify_family_oracle(SetFamily(superalgebra, lifted))
+
+
+def extend_to_ultrafilter_oracle(base):
+    """The principal ultrafilter of the least atom inside the classified
+    kernel of a filter-base, with the same refusal messages."""
+    record = classify_family_oracle(base)
+    if not record.is_filter_base:
+        if not base.members:
+            reason = "the family is empty"
+        elif any(m.bits == 0 for m in base.members):
+            reason = "the family contains the empty set"
+        else:
+            reason = "some pair of members has no nonempty member below it"
+        raise PreconditionError(f"not a filter-base: {reason}")
+    for atom in base.algebra.atoms:
+        if atom.issubset(record.kernel):
+            return principal_ultrafilter_oracle(base.algebra, atom)
+    raise AssertionError("a filter-base kernel contains an atom")
+
+
+def restrict_by_trace_oracle(h, x):
+    """Every member must meet X; the traces {H & X} are extended."""
+    if x.ground != h.algebra.ground:
+        raise GroundMismatchError("x is over a different ground set")
+    if not (h.is_ultrafilter and h.has_cip):
+        raise PreconditionError("needs an ultrafilter with c.i.p.")
+    for member in h.family.sorted_members():
+        if member.isdisjoint(x):
+            raise PreconditionError(f"member {member!r} does not meet X")
+    target = GroundSet(x.labels())
+    small = trace_algebra(h.algebra, x, target)
+    traces = frozenset(transfer_mask(m & x, target) for m in h.members)
+    return extend_to_ultrafilter_oracle(SetFamily(small, traces))
+
+
+def lift_ultrafilter_oracle(ps, f, y):
+    """The slices {F x {y} : F in f}, extended in the product."""
+    if f.algebra != ps.left.algebra:
+        raise GroundMismatchError("the ultrafilter is not over the left factor")
+    if not f.is_ultrafilter:
+        raise PreconditionError("needs an ultrafilter")
+    if y not in ps.right.ground.labels:
+        raise PreconditionError(f"{y!r} is not a point of the right factor")
+    y_mask = ps.right.ground.singleton(y)
+    if not ps.right.algebra.member(y_mask):
+        raise PreconditionError(f"the singleton {{{y}}} is not measurable on the right")
+    slices = frozenset(ps.rectangle(F, y_mask) for F in f.members)
+    return extend_to_ultrafilter_oracle(SetFamily(ps.product.algebra, slices))
+
+
+def project_ultrafilter_oracle(ps, h):
+    """{B : B x Y in h} and {C : X x C in h}, each extended in its factor."""
+    if h.algebra != ps.product.algebra:
+        raise GroundMismatchError("the ultrafilter is not over the product")
+    if not (h.is_ultrafilter and h.has_cip):
+        raise PreconditionError("needs an ultrafilter with c.i.p.")
+    for side, ms in (("left", ps.left), ("right", ps.right)):
+        if not ms.algebra.is_discrete:
+            raise PreconditionError(f"singletons are not measurable in the {side} factor")
+    left_base = frozenset(
+        b
+        for b in ps.left.algebra.sets()
+        if ps.rectangle(b, ps.right.ground.full) in h.members
+    )
+    right_base = frozenset(
+        c
+        for c in ps.right.algebra.sets()
+        if ps.rectangle(ps.left.ground.full, c) in h.members
+    )
+    left = extend_to_ultrafilter_oracle(SetFamily(ps.left.algebra, left_base))
+    right = extend_to_ultrafilter_oracle(SetFamily(ps.right.algebra, right_base))
+    return left, right
 
 
 def decompose_extension_oracle(big, x):
@@ -492,7 +631,7 @@ def decompose_extension_oracle(big, x):
         members = frozenset(
             transfer_mask(c & x, small.ground) for c in big.algebra.sets() if atom.issubset(c)
         )
-        record = classify_family(SetFamily(small.algebra, members))
+        record = classify_family_oracle(SetFamily(small.algebra, members))
         if not (record.is_ultrafilter and record.has_cip):
             raise PreconditionError(f"the family of {atom!r} is not a c.i.p. ultrafilter")
         fibers[record.kernel] = stuck.labels()

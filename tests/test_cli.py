@@ -141,6 +141,10 @@ def test_error_objects(capsys, tmp_path):
     err = json.loads(capsys.readouterr().out)["error"]
     assert code == 2 and err["code"] == "bad-input"
 
+    code = run(["measure", "--space", fx("space1.json"), "--set", "[" + "1" * 5000 + "]"])
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert code == 2 and err["code"] == "bad-input"
+
     # an --out path that cannot be written is named in the error object
     out = str(tmp_path / "no-such-dir" / "x.json")
     code = run(["atoms", "--space", fx("space1.json"), "--out", out])
@@ -171,6 +175,28 @@ def test_error_objects(capsys, tmp_path):
         code = run(argv)
         err = json.loads(capsys.readouterr().out)["error"]
         assert code == 2 and err["code"] == "bad-input" and err["path"] == argv[2]
+
+    # numbers too long to parse, build or print: a JSON integer past the
+    # interpreter's 4300-digit conversion cap, exponents past that cap,
+    # and a product of two 3000-digit values
+    point = {"points": ["a"], "atoms": [["a"]]}
+    huge_int = tmp_path / "huge_int.json"
+    huge_int.write_text(json.dumps(point)[:-1] + ', "values": [' + "1" * 5000 + "]}")
+    inputs = [huge_int]
+    for name, value in (("exp.json", "1e400000"), ("negexp.json", "1e-400000")):
+        path = tmp_path / name
+        path.write_text(json.dumps({**point, "values": [value]}))
+        inputs.append(path)
+    for path in inputs:
+        code = run(["atoms", "--space", str(path)])
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert code == 2 and err["code"] == "bad-input" and err["path"] == str(path)
+    left, right = tmp_path / "long_left.json", tmp_path / "long_right.json"
+    left.write_text(json.dumps({**point, "values": ["7" * 3000]}))
+    right.write_text(json.dumps({"points": ["1"], "atoms": [["1"]], "values": ["3" * 3000]}))
+    code = run(["product", "--small", str(left), "--big", str(right)])
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert code == 2 and err["code"] == "bad-input"
 
 
 def test_invalid_kit_is_input_error_for_construct(capsys):

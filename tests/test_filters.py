@@ -1,4 +1,6 @@
 """Filters, ultrafilters, the {0,1}-measure dictionary, transfer maps."""
+import random
+
 import pytest
 
 from measpace import (
@@ -8,6 +10,7 @@ from measpace import (
     PreconditionError,
     SetFamily,
     SigmaAlgebra,
+    SubsetMask,
     ZERO,
     ZeroOneMeasure,
     all_sigma_algebras,
@@ -29,9 +32,13 @@ from support import (
     check_dichotomy,
     check_sup_property,
     check_union_membership,
+    classify_family_oracle,
+    extend_to_ultrafilter_oracle,
     has_cip_oracle,
     lift_to_superspace_oracle,
+    outcome,
     principal_ultrafilter_oracle,
+    restrict_by_trace_oracle,
     space,
     ultrafilter_from_01_measure_oracle,
 )
@@ -92,6 +99,67 @@ def test_cip_flag_agrees_with_subfamily_oracle():
             )
             assert rec.has_cip == oracle
             assert rec.is_free == (not oracle)
+
+
+def test_classify_and_extend_match_oracle_on_every_family_up_to_4():
+    # extension is compared on every filter-base, and on up to 3 points on
+    # every family, which reaches each of its three refusals
+    families = 0
+    for algebra in _algebras_up_to(4):
+        sets = list(algebra.sets())
+        for bitmap in range(1 << len(sets)):
+            members = frozenset(s for i, s in enumerate(sets) if bitmap >> i & 1)
+            family = SetFamily(algebra, members)
+            expected = classify_family_oracle(family)
+            assert classify_family(family) == expected
+            if expected.is_filter_base or algebra.ground.size < 4:
+                assert outcome(extend_to_ultrafilter, family) == outcome(
+                    extend_to_ultrafilter_oracle, family
+                )
+            families += 1
+    assert families == 67522
+
+
+def test_classify_upsets_of_every_measurable_set_up_to_5():
+    for algebra in _algebras_up_to(5):
+        sets = list(algebra.sets())
+        for s in sets:
+            upset = SetFamily(algebra, frozenset(t for t in sets if s.issubset(t)))
+            rec = classify_family(upset)
+            assert rec == classify_family_oracle(upset)
+            assert rec.kernel == s and rec.is_filter == bool(s)
+            assert rec.is_ultrafilter == (s in algebra.atoms)
+
+
+def _random_algebra(rng, n_atoms):
+    ground = GroundSet(tuple(f"p{i}" for i in range(n_atoms + 2)))
+    block = list(range(n_atoms)) + [rng.randrange(n_atoms) for _ in range(2)]
+    rng.shuffle(block)
+    atoms = [0] * n_atoms
+    for point, b in enumerate(block):
+        atoms[b] |= 1 << point
+    return SigmaAlgebra(ground, tuple(SubsetMask(ground, bits) for bits in atoms))
+
+
+def test_classify_matches_oracle_on_random_families_6_to_8_atoms():
+    rng = random.Random(20121)
+    for n_atoms in (6, 7, 8):
+        algebra = _random_algebra(rng, n_atoms)
+        sets = list(algebra.sets())
+        for _ in range(12):
+            s = rng.choice(sets)
+            upset = [t for t in sets if s.issubset(t)]
+            dropped = rng.choice(upset)
+            candidates = [
+                upset,
+                [t for t in upset if t != dropped],
+                upset + [rng.choice(sets)],
+                [s] + rng.sample(upset, rng.randrange(len(upset) + 1)),
+                rng.sample(sets, rng.randrange(1, 6)),
+            ]
+            for members in candidates:
+                family = SetFamily(algebra, frozenset(members))
+                assert classify_family(family) == classify_family_oracle(family)
 
 
 # ------------------------------------------------------------- enumerate
@@ -335,6 +403,22 @@ def test_restrict_by_trace_examples():
     assert h.kernel == gy2.mask(["a", "p"])
     restricted2 = restrict_by_trace(h, gy2.mask(["a", "b"]))
     assert restricted2.kernel.labels() == ("a",)
+
+
+def test_restrict_by_trace_matches_oracle_up_to_4():
+    # every ultrafilter of every algebra on up to 4 points, traced on every
+    # subset, plus the filter {Y}, which is an ultrafilter only for one atom
+    compared = 0
+    for big in _algebras_up_to(4):
+        whole = classify_family(SetFamily(big, frozenset({big.ground.full})))
+        for h in enumerate_ultrafilters(big) + [whole]:
+            for bits in range(1 << big.ground.size):
+                x = SubsetMask(big.ground, bits)
+                assert outcome(restrict_by_trace, h, x) == outcome(
+                    restrict_by_trace_oracle, h, x
+                )
+                compared += 1
+    assert compared == 977
 
 
 def test_restrict_after_lift_is_identity():

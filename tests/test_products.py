@@ -8,6 +8,7 @@ from measpace import (
     MeasureSpace,
     ONE,
     PreconditionError,
+    SetFamily,
     SigmaAlgebra,
     ZERO,
     all_sigma_algebras,
@@ -21,7 +22,14 @@ from measpace import (
     y_section,
 )
 
-from support import G, alg, space
+from support import (
+    G,
+    alg,
+    lift_ultrafilter_oracle,
+    outcome,
+    project_ultrafilter_oracle,
+    space,
+)
 
 
 def test_pair_label_escaping():
@@ -186,3 +194,30 @@ def test_lift_project_roundtrip_and_no_free_cip_up_to_3():
                     assert all(
                         y_section(ps, m, y) in f.members for m in lifted.members
                     )
+
+
+def _factors_up_to_3(labels):
+    for n in range(1, 4):
+        for algebra in all_sigma_algebras(GroundSet(tuple(labels[:n]))):
+            yield MeasureSpace(algebra, tuple(ONE for _ in algebra.atoms))
+
+
+def test_lift_and_project_match_oracle_up_to_3():
+    # every pair of factors on up to 3 points, measurable singletons or not
+    lifts = projections = 0
+    for left in _factors_up_to_3("abc"):
+        whole = classify_family(SetFamily(left.algebra, frozenset({left.ground.full})))
+        for right in _factors_up_to_3("123"):
+            ps = product_space(left, right)
+            for f in enumerate_ultrafilters(left.algebra) + [whole]:
+                for y in right.ground.labels + ("9",):
+                    assert outcome(lift_ultrafilter, ps, f, y) == outcome(
+                        lift_ultrafilter_oracle, ps, f, y
+                    )
+                    lifts += 1
+            for h in enumerate_ultrafilters(ps.product.algebra):
+                assert outcome(project_ultrafilter, ps, h) == outcome(
+                    project_ultrafilter_oracle, ps, h
+                )
+                projections += 1
+    assert (lifts, projections) == (616, 196)
