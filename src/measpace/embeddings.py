@@ -10,9 +10,8 @@ B whose points are measurably inseparable from the atom they stick to.
 
 ``construct_extension`` builds the extension a kit generates;
 ``decompose_extension`` reads the canonical kit of a given extension off
-the atoms of its algebra; ``enumerate_extensions`` is the brute-force
-oracle that lists every extension of a base space by finitely many
-fresh points.
+the atoms of its algebra; ``enumerate_extensions`` generates every
+extension of a base space by finitely many fresh points from the kits.
 """
 from __future__ import annotations
 
@@ -22,6 +21,7 @@ from typing import Iterable, Mapping
 
 from .core import (
     MAX_POINTS,
+    ZERO,
     GroundSet,
     MeasureSpace,
     SigmaAlgebra,
@@ -40,7 +40,6 @@ from .errors import (
     PreconditionError,
     SizeCapError,
 )
-from .partitions import set_partitions
 
 ENUMERATION_CAP = 8
 
@@ -176,10 +175,6 @@ def _fmt_bits(ground: GroundSet, bits: int) -> str:
     return "{%s}" % ",".join(ground.labels[i] for i in _bits_key(bits))
 
 
-def _fmt(mask: SubsetMask) -> str:
-    return _fmt_bits(mask.ground, mask.bits)
-
-
 def validate_kit(kit: ExtensionKit) -> list[str]:
     """Return the list of violated kit invariants (empty = valid).
 
@@ -203,14 +198,14 @@ def validate_kit(kit: ExtensionKit) -> list[str]:
     for kernel in sorted(kit.fibers, key=mask_key):
         labels = kit.fibers[kernel]
         if len(set(labels)) != len(labels):
-            problems.append(f"fiber {_fmt(kernel)} repeats a label")
+            problems.append(f"fiber {kernel!r} repeats a label")
         for label in labels:
             if label in used:
                 problems.append(
-                    f"label {label!r} of fiber {_fmt(kernel)} collides with {used[label]}"
+                    f"label {label!r} of fiber {kernel!r} collides with {used[label]}"
                 )
             else:
-                used[label] = f"fiber {_fmt(kernel)}"
+                used[label] = f"fiber {kernel!r}"
     for label in kit.pasted.ground.labels:
         if label in used:
             problems.append(f"pasted label {label!r} collides with {used[label]}")
@@ -220,28 +215,28 @@ def validate_kit(kit: ExtensionKit) -> list[str]:
     atoms = set(base_alg.atoms)
     for kernel in sorted(kit.fibers, key=mask_key):
         if kernel not in atoms:
-            problems.append(f"fiber key {_fmt(kernel)} is not an atom of the base algebra")
+            problems.append(f"fiber key {kernel!r} is not an atom of the base algebra")
         if not kit.fibers[kernel]:
-            problems.append(f"fiber {_fmt(kernel)} is empty")
+            problems.append(f"fiber {kernel!r} is empty")
 
     expected = set(base_alg.sets())
     keys = set(kit.dfamily)
     for b in sorted(expected - keys, key=mask_key):
-        problems.append(f"no pasted family for base set {_fmt(b)}")
+        problems.append(f"no pasted family for base set {b!r}")
     for b in sorted(keys - expected, key=mask_key):
-        problems.append(f"pasted family keyed by non-measurable set {_fmt(b)}")
+        problems.append(f"pasted family keyed by non-measurable set {b!r}")
 
     shared = sorted(keys & expected, key=mask_key)
     well_typed = keys == expected
     for b in shared:
         ds = kit.dfamily[b]
         if not ds:
-            problems.append(f"pasted family for {_fmt(b)} is empty")
+            problems.append(f"pasted family for {b!r} is empty")
             well_typed = False
         for d in sorted(ds, key=mask_key):
             if d.ground != kit.pasted.ground or not kit.pasted.member(d):
                 problems.append(
-                    f"pasted family for {_fmt(b)} contains non-measurable {_fmt(d)}"
+                    f"pasted family for {b!r} contains non-measurable {d!r}"
                 )
                 well_typed = False
 
@@ -347,7 +342,7 @@ def construct_extension(kit: ExtensionKit) -> MeasureSpace:
     if not report.ok:
         raise InvariantError(
             f"the constructed space does not embed the base: {report.reason}"
-            f" at {_fmt(report.witness)}"
+            f" at {report.witness!r}"
         )
     return result
 
@@ -386,21 +381,19 @@ def _induced_base(big: MeasureSpace, x: SubsetMask) -> MeasureSpace:
     """The trace measure space on X, or an error if X does not embed."""
     target = GroundSet(x.labels())
     small_alg = trace_algebra(big.algebra, x, target)
-    values = []
-    for t in small_alg.atoms:
-        t_bits = transfer_mask(t, big.ground).bits
-        cover = 0
-        for atom in big.algebra.atoms:
-            inter = atom.bits & x.bits
-            if inter and inter & ~t_bits == 0:
-                cover |= atom.bits
-        values.append(big.measure_of(SubsetMask(big.ground, cover)))
-    small = MeasureSpace(small_alg, tuple(values))
+    # big atoms are disjoint, so each trace atom is A & X for exactly one
+    # big atom A; it need not sort where A does unless X comes first
+    value_of = {
+        transfer_mask(atom & x, target): value
+        for atom, value in zip(big.algebra.atoms, big.atom_values)
+        if atom.bits & x.bits
+    }
+    small = MeasureSpace(small_alg, tuple(value_of[t] for t in small_alg.atoms))
     report = measure_embedding_report(small, big)
     if not report.ok:
         raise PreconditionError(
             f"the trace space on X is not embedded: {report.reason}"
-            f" at {_fmt(report.witness)}"
+            f" at {report.witness!r}"
         )
     return small
 
@@ -494,11 +487,13 @@ def enumerate_extensions(
 ) -> list[MeasureSpace]:
     """Every extension of the base by the given fresh points.
 
-    One candidate per set partition of the enlarged ground set; a
-    partition survives iff its trace on X reproduces the base algebra,
-    and then the measure is forced: each new atom weighs what its X-part
-    weighs.  Output is canonically sorted and uses the canonical ground
-    order (base points first, extra points sorted lexicographically).
+    Each fresh point, in order, joins a block (a base atom as a fiber
+    point, or an earlier pasted block) or opens a new pasted block, so
+    every extension comes out once.  Atoms sort by least point and the
+    base points come first, so the base atoms keep their order and values
+    ahead of the pasted atoms, which miss X and are null.  Output is
+    canonically sorted and uses the canonical ground order (base points
+    first, extra points sorted lexicographically).
     """
     extras = list(extra_labels)
     if len(set(extras)) != len(extras):
@@ -511,20 +506,22 @@ def enumerate_extensions(
             f"enumeration needs {n} points; the cap is {ENUMERATION_CAP}"
         )
     ground = GroundSet(tuple(base.ground.labels) + tuple(sorted(extras)))
-    x = ground.mask(base.ground.labels)
 
-    out = []
-    for blocks in set_partitions(range(n)):
-        atoms = tuple(
-            SubsetMask(ground, sum(1 << i for i in block)) for block in blocks
+    partitions = [tuple(atom.bits for atom in base.algebra.atoms)]
+    for i in range(base.ground.size, n):
+        point = 1 << i
+        partitions = [
+            blocks[:j] + (blocks[j] | point,) + blocks[j + 1 :]
+            for blocks in partitions
+            for j in range(len(blocks))
+        ] + [blocks + (point,) for blocks in partitions]
+    k = len(base.algebra.atoms)
+    out = [
+        MeasureSpace(
+            SigmaAlgebra(ground, tuple(SubsetMask(ground, bits) for bits in blocks)),
+            base.atom_values + (ZERO,) * (len(blocks) - k),
         )
-        algebra = SigmaAlgebra(ground, atoms)
-        if trace_algebra(algebra, x, base.ground) != base.algebra:
-            continue
-        values = tuple(
-            base.measure_of(transfer_mask(atom & x, base.ground))
-            for atom in algebra.atoms
-        )
-        out.append(MeasureSpace(algebra, values))
+        for blocks in partitions
+    ]
     out.sort(key=lambda ms: tuple(atom.indices() for atom in ms.algebra.atoms))
     return out

@@ -9,8 +9,8 @@ T = TypeVar("T")
 def set_partitions(items: Sequence[T]) -> Iterator[tuple[tuple[T, ...], ...]]:
     """Yield every partition of ``items`` into nonempty blocks.
 
-    Deterministic order, Bell(len(items)) partitions in total.  Intended
-    for desk-scale inputs (the library caps enumeration at 8 points).
+    Deterministic order, Bell(len(items)) partitions in total.  The only
+    library caller is ``core.all_sigma_algebras``.
     """
     pool = list(items)
     if not pool:

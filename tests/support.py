@@ -23,11 +23,13 @@ from measpace import (
     ExtensionKit,
     GroundMismatchError,
     GroundSet,
+    InputFormatError,
     MeasureSpace,
     PointAssignment,
     PreconditionError,
     SetFamily,
     SigmaAlgebra,
+    SizeCapError,
     SubsetMask,
     UltrafilterRecord,
     all_sigma_algebras,
@@ -38,7 +40,8 @@ from measpace import (
     trace_algebra,
     transfer_mask,
 )
-from measpace.embeddings import _induced_base
+from measpace.embeddings import ENUMERATION_CAP, _induced_base
+from measpace.partitions import set_partitions
 
 
 def G(*labels):
@@ -639,3 +642,44 @@ def decompose_extension_oracle(big, x):
             assignment[label] = PointAssignment("fiber", record.kernel)
     kit = ExtensionKit(small, pasted, {b: frozenset(ds) for b, ds in dfamily.items()}, fibers)
     return DecompositionRecord(z_part=z_part, kit=kit, point_assignment=assignment)
+
+
+def enumerate_extensions_oracle(
+    base: MeasureSpace, extra_labels
+) -> list[MeasureSpace]:
+    """Every extension of the base by the given fresh points, by filtering.
+
+    One candidate per set partition of the enlarged ground set; a
+    partition survives iff its trace on X reproduces the base algebra,
+    and then the measure is forced: each new atom weighs what its X-part
+    weighs.  Output is canonically sorted and uses the canonical ground
+    order (base points first, extra points sorted lexicographically).
+    """
+    extras = list(extra_labels)
+    if len(set(extras)) != len(extras):
+        raise InputFormatError("extra labels must be distinct")
+    if set(extras) & set(base.ground.labels):
+        raise InputFormatError("extra labels must be fresh")
+    n = base.ground.size + len(extras)
+    if n > ENUMERATION_CAP:
+        raise SizeCapError(
+            f"enumeration needs {n} points; the cap is {ENUMERATION_CAP}"
+        )
+    ground = GroundSet(tuple(base.ground.labels) + tuple(sorted(extras)))
+    x = ground.mask(base.ground.labels)
+
+    out = []
+    for blocks in set_partitions(range(n)):
+        atoms = tuple(
+            SubsetMask(ground, sum(1 << i for i in block)) for block in blocks
+        )
+        algebra = SigmaAlgebra(ground, atoms)
+        if trace_algebra(algebra, x, base.ground) != base.algebra:
+            continue
+        values = tuple(
+            base.measure_of(transfer_mask(atom & x, base.ground))
+            for atom in algebra.atoms
+        )
+        out.append(MeasureSpace(algebra, values))
+    out.sort(key=lambda ms: tuple(atom.indices() for atom in ms.algebra.atoms))
+    return out

@@ -43,6 +43,7 @@ from support import (
     check_thickness_equivalence,
     check_union_membership,
     count_extensions_oracle,
+    enumerate_extensions_oracle,
     small_kits,
 )
 
@@ -188,6 +189,7 @@ def test_criteria_5_6_7_roundtrip_blowup_thickness():
             for extras in ([], ["p"], ["p", "q"]):
                 exts = enumerate_extensions(base, extras)
                 assert len(exts) == count_extensions_oracle(base, len(extras))
+                assert exts == enumerate_extensions_oracle(base, extras)
                 for ext in exts:
                     checked += 1
                     x = ext.ground.mask(base.ground.labels)

@@ -1,10 +1,14 @@
 """CLI golden tests: every verb, canonical byte-stable JSON, exit codes."""
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from measpace.cli import run
 from measpace.jsonio import canonical_dumps
@@ -197,6 +201,67 @@ def test_error_objects(capsys, tmp_path):
     code = run(["product", "--small", str(left), "--big", str(right)])
     err = json.loads(capsys.readouterr().out)["error"]
     assert code == 2 and err["code"] == "bad-input"
+
+
+# (case, argv index) for every fixture file a CASES entry reads
+FIXTURE_ARGS = [
+    (case, i)
+    for case in CASES
+    for i, arg in enumerate(case[1])
+    if arg.startswith(str(FIXTURES))
+]
+
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 10**6),
+    st.floats(),
+    st.text(max_size=4),
+    st.sampled_from(["inf", "-1", "1/0", "0.5", "", "a", ",", "a,b", "(a|1)"]),
+    st.lists(st.sampled_from(["a", "b", "c", "p", "z", "1"]), max_size=3),
+    st.dictionaries(st.sampled_from(["points", "atoms", "values", "a"]), st.none(), max_size=2),
+)
+
+
+def _mutated(data, value):
+    """``value`` with one key deleted, one value replaced, one list item
+    duplicated, or one of these applied inside a value."""
+    if isinstance(value, dict) and value:
+        key = data.draw(st.sampled_from(sorted(value)))
+        kind = data.draw(st.sampled_from(["delete", "replace", "recurse"]))
+        if kind == "delete":
+            return {k: v for k, v in value.items() if k != key}
+        new = data.draw(JUNK) if kind == "replace" else _mutated(data, value[key])
+        return {**value, key: new}
+    if isinstance(value, list) and value:
+        i = data.draw(st.integers(0, len(value) - 1))
+        kind = data.draw(st.sampled_from(["delete", "replace", "duplicate", "recurse"]))
+        if kind == "delete":
+            return value[:i] + value[i + 1 :]
+        if kind == "duplicate":
+            return value[: i + 1] + value[i:]
+        new = data.draw(JUNK) if kind == "replace" else _mutated(data, value[i])
+        return value[:i] + [new] + value[i + 1 :]
+    return data.draw(JUNK)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.data())
+def test_mutated_fixtures_keep_the_error_contract(data):
+    (_, argv, _), i = data.draw(st.sampled_from(FIXTURE_ARGS))
+    raw = json.loads(Path(argv[i]).read_text())
+    text = json.dumps(_mutated(data, raw))
+    argv = argv[:i] + ["-"] + argv[i + 1 :]
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(text)):
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(argv)
+    assert code in (0, 1, 2)
+    assert err.getvalue() == ""
+    payload = json.loads(out.getvalue())
+    if code == 2:
+        assert list(payload) == ["error"]
+        assert sorted(payload["error"]) == ["code", "message", "path"]
 
 
 def test_invalid_kit_is_input_error_for_construct(capsys):

@@ -28,6 +28,7 @@ from measpace import (
     identity_kit,
     mask_key,
     measure_embedding_report,
+    transfer_mask,
     validate_kit,
 )
 from measpace import embeddings
@@ -39,6 +40,7 @@ from support import (
     count_extensions_oracle,
     decompose_extension_oracle,
     embedding_report_oracle,
+    enumerate_extensions_oracle,
     rgs_partitions,
     small_kits,
     space,
@@ -298,6 +300,34 @@ def test_decompose_ultrafilter_form_for_non_separating_base():
     assert construct_extension(rec.kit) == big
 
 
+def test_decompose_reads_base_values_off_trace_atoms():
+    # ground (p, a, b): the big atom {p,b} sorts before {a}, its trace {b} after {a}
+    big = space(G("p", "a", "b"), (["p", "b"], ["a"]), (1, 2))
+    rec = decompose_extension(big, big.ground.mask(["a", "b"]))
+    assert rec.kit.base == space(G("a", "b"), (["a"], ["b"]), (2, 1))
+
+
+def _relabelled(ms, ground):
+    """``ms`` re-expressed over ``ground``, a reordering of its labels."""
+    pairs = sorted(
+        ((transfer_mask(a, ground), v) for a, v in zip(ms.algebra.atoms, ms.atom_values)),
+        key=lambda pair: pair[0].bits & -pair[0].bits,
+    )
+    atoms, values = zip(*pairs)
+    return MeasureSpace(SigmaAlgebra(ground, atoms), values)
+
+
+def test_decompose_base_with_points_in_any_order():
+    # the reversed ground puts X last, so big atoms and trace atoms sort apart
+    for base, ext in _extensions_up_to(5):
+        reversed_ext = _relabelled(ext, GroundSet(ext.ground.labels[::-1]))
+        x = reversed_ext.ground.mask(base.ground.labels)
+        rec = decompose_extension(reversed_ext, x)
+        assert rec.kit.base == _relabelled(base, rec.kit.base.ground)
+        rebuilt = construct_extension(rec.kit)
+        assert rebuilt == _relabelled(reversed_ext, rebuilt.ground)
+
+
 # ------------------------------------------------------------- classification
 
 def test_classify_outside_points_examples():
@@ -346,6 +376,38 @@ def test_enumerate_matches_independent_oracle():
                 assert len(set(got)) == len(got)
 
 
+def _enumeration_cases():
+    """(base, extras) for every algebra on 1-3 points with every value
+    tuple over {0, 1, inf} up to 5 points in all, one value tuple per
+    algebra at 6 and 7 points, the discrete bases at the 8-point cap and
+    the empty base at every size up to the cap."""
+    extras = [f"p{i}" for i in range(8)]
+    for n in range(1, 4):
+        g = GroundSet(tuple("abc"[:n]))
+        for algebra in all_sigma_algebras(g):
+            k = len(algebra.atoms)
+            for vals in iproduct((ZERO, ONE, INFINITY), repeat=k):
+                for m in range(6 - n):
+                    yield MeasureSpace(algebra, vals), extras[:m]
+            cycled = MeasureSpace(algebra, tuple(ExtReal_cycle(i) for i in range(k)))
+            for total in (6, 7):
+                yield cycled, extras[: total - n]
+        yield MeasureSpace(SigmaAlgebra.discrete(g), (ONE,) * n), extras[: 8 - n]
+    empty = MeasureSpace(SigmaAlgebra(GroundSet(()), ()), ())
+    for m in range(9):
+        yield empty, extras[:m]
+
+
+def test_enumerate_matches_filter_oracle():
+    # the generator against the filter over all Bell(n) partitions:
+    # the same spaces in the same order
+    cases = 0
+    for base, extras in _enumeration_cases():
+        cases += 1
+        assert enumerate_extensions(base, extras) == enumerate_extensions_oracle(base, extras)
+    assert cases == 262
+
+
 def test_enumerate_guards():
     base = one_point_base()
     with pytest.raises(SizeCapError):
@@ -381,8 +443,6 @@ def test_lambda_forced_and_thick_in_every_extension():
                 assert check_measure_embedding(base, ext)
                 # the measure is pinned per atom by its X-part
                 for atom, value in zip(ext.algebra.atoms, ext.atom_values):
-                    from measpace import transfer_mask
-
                     assert value == base.measure_of(
                         transfer_mask(atom & x, base.ground)
                     )
