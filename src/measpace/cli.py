@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import jsonio
-from .core import ZERO, GroundSet, generate_sigma_algebra, mask_key
+from .core import ZERO, GroundSet, generate_sigma_algebra
 from .embeddings import (
     classify_outside_points,
     construct_extension,
@@ -125,7 +125,7 @@ def _cmd_thick(args):
         return 0, {"ok": True}
     witness = next(
         c
-        for c in sorted(ms.algebra.sets(), key=mask_key)
+        for c in ms.algebra.sorted_sets()
         if c.issubset(x.complement()) and ms.measure_of(c) != ZERO
     )
     return 1, {"ok": False, "witness": jsonio.labels_list(witness)}

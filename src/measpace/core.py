@@ -137,6 +137,12 @@ class GroundSet:
     labels: tuple[str, ...]
 
     def __post_init__(self):
+        # a string would split into one-letter points, and a set would give
+        # an order (so bit positions) that depends on string hashing
+        if isinstance(self.labels, (str, set, frozenset)):
+            raise InputFormatError(
+                f"point labels must be an ordered sequence of strings, got {self.labels!r}"
+            )
         labels = tuple(self.labels)
         object.__setattr__(self, "labels", labels)
         if len(labels) > MAX_POINTS:
@@ -202,7 +208,10 @@ class SubsetMask:
     bits: int
 
     def __post_init__(self):
-        if not 0 <= self.bits < (1 << self.ground.size):
+        bits = self.bits
+        if type(bits) is not int:
+            raise InputFormatError(f"mask bits must be an int, got {bits!r}")
+        if not 0 <= bits < 1 << len(self.ground.labels):
             raise InputFormatError("mask bits out of range for its ground set")
 
     def _same_ground(self, other: "SubsetMask") -> None:
@@ -242,7 +251,7 @@ class SubsetMask:
         return self.bits.bit_count()
 
     def indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.ground.size) if self.bits >> i & 1)
+        return bits_key(self.bits)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(self.ground.labels[i] for i in self.indices())
@@ -254,9 +263,14 @@ class SubsetMask:
         return "{%s}" % ",".join(self.labels())
 
 
+def bits_key(bits: int) -> tuple[int, ...]:
+    """The point indices of a raw bitmask, in increasing order."""
+    return tuple(i for i in range(bits.bit_length()) if bits >> i & 1)
+
+
 def mask_key(mask: SubsetMask) -> tuple[int, ...]:
     """Canonical sort key for listing sets: the tuple of point indices."""
-    return mask.indices()
+    return bits_key(mask.bits)
 
 
 @dataclass(frozen=True)
@@ -272,21 +286,28 @@ class SigmaAlgebra:
     atoms: tuple[SubsetMask, ...]
 
     def __post_init__(self):
+        ground = self.ground
         atoms = tuple(self.atoms)
         union = 0
+        least = 0
+        in_order = True
         for atom in atoms:
-            if atom.ground != self.ground:
+            if atom.ground is not ground and atom.ground != ground:
                 raise GroundMismatchError("atom over a different ground set")
-            if atom.bits == 0:
+            bits = atom.bits
+            if not bits:
                 raise InputFormatError("atoms must be nonempty")
-            if union & atom.bits:
+            if union & bits:
                 raise InputFormatError("atoms must be pairwise disjoint")
-            union |= atom.bits
-        if union != (1 << self.ground.size) - 1:
+            union |= bits
+            low = bits & -bits
+            in_order = in_order and least < low
+            least = low
+        if union != (1 << ground.size) - 1:
             raise InputFormatError("atoms must cover the ground set")
-        object.__setattr__(
-            self, "atoms", tuple(sorted(atoms, key=lambda a: a.bits & -a.bits))
-        )
+        if not in_order:
+            atoms = tuple(sorted(atoms, key=lambda a: a.bits & -a.bits))
+        object.__setattr__(self, "atoms", atoms)
 
     @classmethod
     def discrete(cls, ground: GroundSet) -> "SigmaAlgebra":
@@ -410,7 +431,9 @@ class MeasureSpace:
     atom_values: tuple[ExtReal, ...]
 
     def __post_init__(self):
-        values = tuple(ExtReal.of(v) for v in self.atom_values)
+        values = self.atom_values
+        if type(values) is not tuple or not all(type(v) is ExtReal for v in values):
+            values = tuple(ExtReal.of(v) for v in values)
         if len(values) != len(self.algebra.atoms):
             raise InputFormatError(
                 f"need one value per atom: {len(values)} values for "

@@ -26,6 +26,7 @@ from .core import (
     MeasureSpace,
     SigmaAlgebra,
     SubsetMask,
+    bits_key,
     generate_sigma_algebra,
     generated_atom_bits,
     mask_key,
@@ -166,13 +167,8 @@ def auto_fibers(sizes: Mapping[SubsetMask, int]) -> dict[SubsetMask, tuple[str, 
     return out
 
 
-def _bits_key(bits: int) -> tuple[int, ...]:
-    """``mask_key`` of a raw bitmask: its point indices in order."""
-    return tuple(i for i in range(bits.bit_length()) if bits >> i & 1)
-
-
 def _fmt_bits(ground: GroundSet, bits: int) -> str:
-    return "{%s}" % ",".join(ground.labels[i] for i in _bits_key(bits))
+    return "{%s}" % ",".join(ground.labels[i] for i in bits_key(bits))
 
 
 def validate_kit(kit: ExtensionKit) -> list[str]:
@@ -260,8 +256,8 @@ def _closure_problems(kit: ExtensionKit) -> list[str]:
     x_full = (1 << base_ground.size) - 1
     z_full = (1 << z_ground.size) - 1
     family = {b.bits: {d.bits for d in ds} for b, ds in kit.dfamily.items()}
-    ordered = {b: sorted(ds, key=_bits_key) for b, ds in family.items()}
-    keys = sorted(family, key=_bits_key)
+    ordered = {b: sorted(ds, key=bits_key) for b, ds in family.items()}
+    keys = sorted(family, key=bits_key)
     fb, fz = partial(_fmt_bits, base_ground), partial(_fmt_bits, z_ground)
     problems: list[str] = []
     if 0 not in family[0]:
@@ -494,6 +490,11 @@ def enumerate_extensions(
     ahead of the pasted atoms, which miss X and are null.  Output is
     canonically sorted and uses the canonical ground order (base points
     first, extra points sorted lexicographically).
+
+    Every block tuple already lists its blocks in that atom order, so the
+    listing is sorted on the raw bits, by each block's index tuple,
+    before any object is built.  Then each distinct block becomes one
+    ``SubsetMask``, shared by every space that has it as an atom.
     """
     extras = list(extra_labels)
     if len(set(extras)) != len(extras):
@@ -515,13 +516,15 @@ def enumerate_extensions(
             for blocks in partitions
             for j in range(len(blocks))
         ] + [blocks + (point,) for blocks in partitions]
+    distinct = {bits for blocks in partitions for bits in blocks}
+    keys = {bits: bits_key(bits) for bits in distinct}
+    partitions.sort(key=lambda blocks: tuple(map(keys.__getitem__, blocks)))
+    masks = {bits: SubsetMask(ground, bits) for bits in keys}
     k = len(base.algebra.atoms)
-    out = [
+    return [
         MeasureSpace(
-            SigmaAlgebra(ground, tuple(SubsetMask(ground, bits) for bits in blocks)),
+            SigmaAlgebra(ground, tuple(map(masks.__getitem__, blocks))),
             base.atom_values + (ZERO,) * (len(blocks) - k),
         )
         for blocks in partitions
     ]
-    out.sort(key=lambda ms: tuple(atom.indices() for atom in ms.algebra.atoms))
-    return out

@@ -20,6 +20,7 @@ from measpace import (
     SubsetMask,
     all_sigma_algebras,
     generate_sigma_algebra,
+    mask_key,
     trace_algebra,
 )
 from measpace.partitions import set_partitions
@@ -114,6 +115,41 @@ def test_mask_ops_and_ground_mismatch():
         s & other.mask(["a"])
 
 
+def test_ground_rejects_a_string_or_a_set_of_labels():
+    # "ab" would otherwise become the two points a and b, and a set's
+    # order would follow string hashing
+    for labels in ("ab", "a", {"a", "b"}, frozenset({"a"})):
+        with pytest.raises(InputFormatError):
+            GroundSet(labels)
+    assert GroundSet(["a", "b"]).labels == ("a", "b")
+
+
+@pytest.mark.parametrize("bits", [1.0, True, False, "1", Fraction(1), None])
+def test_mask_rejects_bits_that_are_not_an_int(bits):
+    with pytest.raises(InputFormatError):
+        SubsetMask(G("a", "b"), bits)
+
+
+def _indices_by_range_walk(mask):
+    return tuple(i for i in range(mask.ground.size) if mask.bits >> i & 1)
+
+
+def test_mask_key_and_indices_match_the_range_walk_up_to_10_points():
+    for n in range(11):
+        g = GroundSet(tuple(f"p{i}" for i in range(n)))
+        for bits in range(1 << n):
+            mask = SubsetMask(g, bits)
+            assert mask_key(mask) == mask.indices() == _indices_by_range_walk(mask)
+
+
+def test_sorted_sets_order_is_the_range_walk_order():
+    for n in range(6):
+        g = GroundSet(tuple(f"p{i}" for i in range(n)))
+        for algebra in all_sigma_algebras(g):
+            expected = sorted(algebra.sets(), key=_indices_by_range_walk)
+            assert algebra.sorted_sets() == expected
+
+
 # ------------------------------------------------------------- algebras
 
 def test_algebra_canonical_sorting_and_validation():
@@ -126,6 +162,34 @@ def test_algebra_canonical_sorting_and_validation():
         SigmaAlgebra(g, (g.mask(["a", "b"]), g.mask(["b", "c"])))  # overlap
     with pytest.raises(InputFormatError):
         SigmaAlgebra(g, (g.empty, g.full))  # empty atom
+
+
+def test_algebra_refuses_an_atom_over_another_ground():
+    g = G("a", "b")
+    other = G("a", "c")
+    with pytest.raises(GroundMismatchError):
+        SigmaAlgebra(g, (g.mask(["a"]), other.mask(["c"])))
+    with pytest.raises(GroundMismatchError):
+        SigmaAlgebra(g, (other.mask(["a", "c"]),))
+
+
+def test_algebra_accepts_atoms_over_an_equal_ground_object():
+    g = G("a", "b")
+    twin = G("a", "b")
+    assert twin is not g and twin == g
+    built = SigmaAlgebra(g, (twin.mask(["b"]), twin.mask(["a"])))
+    assert built == SigmaAlgebra(g, (g.mask(["a"]), g.mask(["b"])))
+    assert built == SigmaAlgebra.discrete(twin)
+
+
+def test_algebra_sorts_atoms_given_in_any_order():
+    for n in range(1, 6):
+        g = GroundSet(tuple(f"p{i}" for i in range(n)))
+        for algebra in all_sigma_algebras(g):
+            atoms = algebra.atoms
+            for shuffled in (atoms[::-1], atoms[1:] + atoms[:1], list(atoms)):
+                assert SigmaAlgebra(g, shuffled) == algebra
+                assert SigmaAlgebra(g, shuffled).atoms == atoms
 
 
 def test_generate_examples():
@@ -196,6 +260,29 @@ def test_measure_of_examples():
     assert ms_frac.measure_of(g.mask(["b", "c"])) == ExtReal.of("2/3")
     with pytest.raises(NotMeasurableError):
         ms.measure_of(g.mask(["b"]))
+
+
+def test_measure_space_refuses_a_wrong_value_count():
+    g = G("a", "b")
+    with pytest.raises(InputFormatError, match=r"^need one value per atom: 1 values for 2 atoms$"):
+        MeasureSpace(SigmaAlgebra.discrete(g), (ONE,))
+    with pytest.raises(InputFormatError, match=r"^need one value per atom: 3 values for 2 atoms$"):
+        MeasureSpace(SigmaAlgebra.discrete(g), [1, 2, 3])
+
+
+def test_measure_space_coerces_values_to_ext_reals():
+    algebra = SigmaAlgebra.discrete(G("a", "b", "c"))
+    exact = MeasureSpace(algebra, (ONE, ExtReal(Fraction(1, 2)), INFINITY))
+    for values in (
+        (1, "1/2", "inf"),
+        (Fraction(1), Fraction(1, 2), "inf"),
+        ["1", "0.5", INFINITY],
+        [ONE, ExtReal(Fraction(1, 2)), INFINITY],
+    ):
+        built = MeasureSpace(algebra, values)
+        assert built == exact
+        assert type(built.atom_values) is tuple
+        assert all(type(v) is ExtReal for v in built.atom_values)
 
 
 def test_outer_measure_examples():

@@ -408,6 +408,17 @@ def test_enumerate_matches_filter_oracle():
     assert cases == 262
 
 
+def test_enumerate_shares_one_mask_per_block():
+    base = space(G("a", "b"), (["a"], ["b"]), (1, 0))
+    listing = enumerate_extensions(base, ["p", "q", "r"])
+    shared = {}
+    for ext in listing:
+        assert ext.ground is listing[0].ground
+        for atom in ext.algebra.atoms:
+            assert shared.setdefault(atom.bits, atom) is atom
+    assert len(listing) == 37
+
+
 def test_enumerate_guards():
     base = one_point_base()
     with pytest.raises(SizeCapError):
