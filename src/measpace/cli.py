@@ -4,6 +4,9 @@ Exit codes: 0 success (or a check that came back true), 1 a check that
 came back false, 2 malformed input or violated precondition.  Output is
 always canonical JSON on stdout (or ``--out``); errors are emitted as
 {"error": {"code", "message", "path"}}.
+
+Each handler imports the filters, embeddings and products functions it
+calls, so a call loads only the modules its verb uses.
 """
 from __future__ import annotations
 
@@ -14,24 +17,7 @@ from pathlib import Path
 
 from . import jsonio
 from .core import ZERO, GroundSet, generate_sigma_algebra
-from .embeddings import (
-    classify_outside_points,
-    construct_extension,
-    decompose_extension,
-    enumerate_extensions,
-    measure_embedding_report,
-    validate_kit,
-)
 from .errors import InputFormatError, MeaspaceError
-from .filters import (
-    ZeroOneMeasure,
-    classify_family,
-    enumerate_ultrafilters,
-    extend_to_ultrafilter,
-    measure_from_ultrafilter,
-    ultrafilter_from_01_measure,
-)
-from .products import lift_ultrafilter, product_space, project_ultrafilter, y_section
 
 
 class _Parser(argparse.ArgumentParser):
@@ -132,6 +118,8 @@ def _cmd_thick(args):
 
 
 def _cmd_ultrafilters(args):
+    from .filters import enumerate_ultrafilters
+
     loaded = _load(args.space, jsonio.optional_space_from_obj)
     if hasattr(loaded, "atom_values"):
         space_obj, algebra = jsonio.space_to_obj(loaded), loaded.algebra
@@ -147,6 +135,8 @@ def _cmd_ultrafilters(args):
 
 
 def _cmd_classify_family(args):
+    from .filters import classify_family
+
     family, ms = _load(args.space, jsonio.family_from_obj)
     record = classify_family(family)
     space_obj = jsonio.space_to_obj(ms) if ms is not None else None
@@ -154,6 +144,8 @@ def _cmd_classify_family(args):
 
 
 def _cmd_extend_uf(args):
+    from .filters import extend_to_ultrafilter
+
     family, ms = _load(args.space, jsonio.family_from_obj)
     record = extend_to_ultrafilter(family)
     space_obj = jsonio.space_to_obj(ms) if ms is not None else None
@@ -161,18 +153,24 @@ def _cmd_extend_uf(args):
 
 
 def _cmd_uf_to_measure(args):
+    from .filters import measure_from_ultrafilter
+
     record, _ = _load(args.space, jsonio.record_from_obj)
     zm = measure_from_ultrafilter(record)
     return 0, jsonio.space_to_obj(zm.ms)
 
 
 def _cmd_measure_to_uf(args):
+    from .filters import ZeroOneMeasure, ultrafilter_from_01_measure
+
     ms = _load(args.space, jsonio.space_from_obj)
     record = ultrafilter_from_01_measure(ZeroOneMeasure(ms))
     return 0, jsonio.record_to_obj(record, jsonio.space_to_obj(ms))
 
 
 def _cmd_check_embed(args):
+    from .embeddings import measure_embedding_report
+
     small = _load(args.small, jsonio.space_from_obj)
     big = _load(args.big, jsonio.space_from_obj)
     report = measure_embedding_report(small, big)
@@ -186,17 +184,23 @@ def _cmd_check_embed(args):
 
 
 def _cmd_decompose(args):
+    from .embeddings import decompose_extension
+
     big = _load(args.big, jsonio.space_from_obj)
     x = big.ground.mask(_set_arg(args))
     return 0, jsonio.decomposition_to_obj(decompose_extension(big, x))
 
 
 def _cmd_construct(args):
+    from .embeddings import construct_extension
+
     kit = _load(args.kit, jsonio.kit_from_obj)
     return 0, jsonio.space_to_obj(construct_extension(kit))
 
 
 def _cmd_validate_kit(args):
+    from .embeddings import validate_kit
+
     kit = _load(args.kit, jsonio.kit_from_obj)
     problems = validate_kit(kit)
     if problems:
@@ -205,6 +209,8 @@ def _cmd_validate_kit(args):
 
 
 def _cmd_enumerate_extensions(args):
+    from .embeddings import enumerate_extensions
+
     base = _load(args.space, jsonio.space_from_obj)
     extras = [s for s in (args.extra or "").split(",") if s]
     spaces = enumerate_extensions(base, extras)
@@ -215,6 +221,8 @@ def _cmd_enumerate_extensions(args):
 
 
 def _cmd_classify_points(args):
+    from .embeddings import classify_outside_points
+
     big = _load(args.big, jsonio.space_from_obj)
     x = big.ground.mask(_set_arg(args))
     classes = classify_outside_points(big, x)
@@ -229,12 +237,16 @@ def _cmd_classify_points(args):
 
 
 def _cmd_product(args):
+    from .products import product_space
+
     left = _load(args.small, jsonio.space_from_obj)
     right = _load(args.big, jsonio.space_from_obj)
     return 0, jsonio.product_to_obj(product_space(left, right))
 
 
 def _cmd_section(args):
+    from .products import y_section
+
     ps = _load(args.space, jsonio.product_from_obj)
     s = ps.product.ground.mask(_set_arg(args))
     section = y_section(ps, s, args.point)
@@ -242,6 +254,9 @@ def _cmd_section(args):
 
 
 def _cmd_lift_uf(args):
+    from .filters import classify_family
+    from .products import lift_ultrafilter, product_space
+
     family, ms = _load(args.space, jsonio.family_from_obj)
     if ms is None:
         raise InputFormatError("lift-uf needs measure values on the ultrafilter's space")
@@ -253,6 +268,8 @@ def _cmd_lift_uf(args):
 
 
 def _cmd_project_uf(args):
+    from .products import project_ultrafilter
+
     raw = _read_json(args.space)
     if not isinstance(raw, dict):
         raise InputFormatError("project-uf input must be a JSON object")

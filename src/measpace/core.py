@@ -10,9 +10,7 @@ between threads.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -33,25 +31,76 @@ MAX_POINTS = 16
 _MAX_DIGITS = 4300
 _EXPONENT = re.compile(r"e([-+]?\d[\d_]*)$", re.IGNORECASE)
 
+# __init__ stores fields through object's setter: the classes refuse assignment
+_setattr = object.__setattr__
 
-@dataclass(frozen=True)
-class ExtReal:
+
+class _Value:
+    """Base of the immutable value classes.
+
+    A subclass lists its fields, in ``__init__`` order, as
+    ``__match_args__`` and declares them (plus any derived slots) in
+    ``__slots__``.  Its ``__init__`` checks the arguments and stores them
+    with ``_setattr``.  Two values are equal when they have the same class
+    and equal field tuples, and the hash is the hash of that tuple, so a
+    value with a dict field is unhashable.  Assignment and deletion raise
+    ``AttributeError``; copies and pickles are rebuilt through
+    ``__init__``, which checks them again.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._astuple()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class ExtReal(_Value):
     """A nonnegative exact rational or +infinity (``finite is None``).
 
     Addition is total with infinity absorbing; multiplication uses the
     measure-theoretic convention 0 * inf = 0.
     """
 
-    finite: Fraction | None
+    __slots__ = __match_args__ = ("finite",)
 
-    def __post_init__(self):
-        if self.finite is not None:
-            if not isinstance(self.finite, Fraction):
-                raise InputFormatError(
-                    f"ExtReal wants a Fraction or None, got {self.finite!r}"
-                )
-            if self.finite < 0:
-                raise InputFormatError(f"measure values may not be negative: {self.finite}")
+    def __init__(self, finite: Fraction | None):
+        if finite is not None:
+            if not isinstance(finite, Fraction):
+                raise InputFormatError(f"ExtReal wants a Fraction or None, got {finite!r}")
+            if finite < 0:
+                raise InputFormatError(f"measure values may not be negative: {finite}")
+        _setattr(self, "finite", finite)
+
+    # identity first, as comparing field tuples does; most values are shared
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.finite is other.finite or self.finite == other.finite
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.finite,))
 
     @classmethod
     def of(cls, value) -> "ExtReal":
@@ -126,44 +175,49 @@ ONE = ExtReal(Fraction(1))
 INFINITY = ExtReal(None)
 
 
-@dataclass(frozen=True)
-class GroundSet:
+class GroundSet(_Value):
     """Ordered tuple of distinct point labels; label index = bit position.
 
     May be empty (e.g. an empty pasted part).  Labels are nonempty strings
     without commas, so that label lists serialize unambiguously.
     """
 
-    labels: tuple[str, ...]
+    __match_args__ = ("labels",)
+    __slots__ = ("labels", "_position")
 
-    def __post_init__(self):
+    def __init__(self, labels: tuple[str, ...]):
         # a string would split into one-letter points, and a set would give
         # an order (so bit positions) that depends on string hashing
-        if isinstance(self.labels, (str, set, frozenset)):
+        if isinstance(labels, (str, set, frozenset)):
             raise InputFormatError(
-                f"point labels must be an ordered sequence of strings, got {self.labels!r}"
+                f"point labels must be an ordered sequence of strings, got {labels!r}"
             )
-        labels = tuple(self.labels)
-        object.__setattr__(self, "labels", labels)
+        labels = tuple(labels)
         if len(labels) > MAX_POINTS:
             raise SizeCapError(
                 f"ground set has {len(labels)} points; the cap is {MAX_POINTS}"
             )
-        seen = set()
-        for label in labels:
+        position: dict[str, int] = {}
+        for i, label in enumerate(labels):
             if not isinstance(label, str) or not label:
                 raise InputFormatError(
                     f"point labels must be nonempty strings, got {label!r}"
                 )
             if "," in label:
                 raise InputFormatError(f"point label {label!r} may not contain ','")
-            if label in seen:
+            if label in position:
                 raise InputFormatError(f"duplicate point label {label!r}")
-            seen.add(label)
+            position[label] = i
+        _setattr(self, "labels", labels)
+        _setattr(self, "_position", position)
 
-    @cached_property
-    def _position(self) -> dict[str, int]:
-        return {label: i for i, label in enumerate(self.labels)}
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.labels is other.labels or self.labels == other.labels
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.labels,))
 
     @property
     def size(self) -> int:
@@ -196,23 +250,34 @@ class GroundSet:
         return f"GroundSet({', '.join(self.labels)})"
 
 
-@dataclass(frozen=True)
-class SubsetMask:
+class SubsetMask(_Value):
     """Bitmask subset of a specific ground set.
 
     Masks are only comparable/combinable over equal ground sets; mixing
     grounds raises :class:`GroundMismatchError`.
     """
 
-    ground: GroundSet
-    bits: int
+    __slots__ = __match_args__ = ("ground", "bits")
 
-    def __post_init__(self):
-        bits = self.bits
+    def __init__(self, ground: GroundSet, bits: int):
+        if not isinstance(ground, GroundSet):
+            raise InputFormatError(f"a mask needs a GroundSet, got {ground!r}")
         if type(bits) is not int:
             raise InputFormatError(f"mask bits must be an int, got {bits!r}")
-        if not 0 <= bits < 1 << len(self.ground.labels):
+        if not 0 <= bits < 1 << len(ground.labels):
             raise InputFormatError("mask bits out of range for its ground set")
+        _setattr(self, "ground", ground)
+        _setattr(self, "bits", bits)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.bits == other.bits and (
+                self.ground is other.ground or self.ground == other.ground
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.ground, self.bits))
 
     def _same_ground(self, other: "SubsetMask") -> None:
         if self.ground != other.ground:
@@ -273,8 +338,7 @@ def mask_key(mask: SubsetMask) -> tuple[int, ...]:
     return bits_key(mask.bits)
 
 
-@dataclass(frozen=True)
-class SigmaAlgebra:
+class SigmaAlgebra(_Value):
     """Sigma-algebra on a finite ground set, stored as its atom partition.
 
     Atoms are pairwise disjoint, nonempty, cover the ground set, and are
@@ -282,16 +346,18 @@ class SigmaAlgebra:
     A set is measurable exactly when it is a union of atoms.
     """
 
-    ground: GroundSet
-    atoms: tuple[SubsetMask, ...]
+    __slots__ = __match_args__ = ("ground", "atoms")
 
-    def __post_init__(self):
-        ground = self.ground
-        atoms = tuple(self.atoms)
+    def __init__(self, ground: GroundSet, atoms: tuple[SubsetMask, ...]):
+        if not isinstance(ground, GroundSet):
+            raise InputFormatError(f"an algebra needs a GroundSet, got {ground!r}")
+        atoms = tuple(atoms)
         union = 0
         least = 0
         in_order = True
         for atom in atoms:
+            if not isinstance(atom, SubsetMask):
+                raise InputFormatError(f"atoms must be SubsetMasks, got {atom!r}")
             if atom.ground is not ground and atom.ground != ground:
                 raise GroundMismatchError("atom over a different ground set")
             bits = atom.bits
@@ -307,7 +373,8 @@ class SigmaAlgebra:
             raise InputFormatError("atoms must cover the ground set")
         if not in_order:
             atoms = tuple(sorted(atoms, key=lambda a: a.bits & -a.bits))
-        object.__setattr__(self, "atoms", atoms)
+        _setattr(self, "ground", ground)
+        _setattr(self, "atoms", atoms)
 
     @classmethod
     def discrete(cls, ground: GroundSet) -> "SigmaAlgebra":
@@ -418,8 +485,7 @@ def trace_algebra(
     return SigmaAlgebra(target, tuple(atoms))
 
 
-@dataclass(frozen=True)
-class MeasureSpace:
+class MeasureSpace(_Value):
     """A sigma-algebra plus one extended-rational value per atom.
 
     Finite additivity is forced by the representation; on finite spaces
@@ -427,19 +493,21 @@ class MeasureSpace:
     by construction.
     """
 
-    algebra: SigmaAlgebra
-    atom_values: tuple[ExtReal, ...]
+    __slots__ = __match_args__ = ("algebra", "atom_values")
 
-    def __post_init__(self):
-        values = self.atom_values
+    def __init__(self, algebra: SigmaAlgebra, atom_values: tuple[ExtReal, ...]):
+        if not isinstance(algebra, SigmaAlgebra):
+            raise InputFormatError(f"a measure space needs a SigmaAlgebra, got {algebra!r}")
+        values = atom_values
         if type(values) is not tuple or not all(type(v) is ExtReal for v in values):
             values = tuple(ExtReal.of(v) for v in values)
-        if len(values) != len(self.algebra.atoms):
+        if len(values) != len(algebra.atoms):
             raise InputFormatError(
                 f"need one value per atom: {len(values)} values for "
-                f"{len(self.algebra.atoms)} atoms"
+                f"{len(algebra.atoms)} atoms"
             )
-        object.__setattr__(self, "atom_values", values)
+        _setattr(self, "algebra", algebra)
+        _setattr(self, "atom_values", values)
 
     @property
     def ground(self) -> GroundSet:

@@ -15,7 +15,6 @@ extension of a base space by finitely many fresh points from the kits.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Mapping
 
@@ -26,6 +25,8 @@ from .core import (
     MeasureSpace,
     SigmaAlgebra,
     SubsetMask,
+    _setattr,
+    _Value,
     bits_key,
     generate_sigma_algebra,
     generated_atom_bits,
@@ -57,13 +58,15 @@ def check_measurable_embedding(small: SigmaAlgebra, big: SigmaAlgebra) -> bool:
     return trace_algebra(big, x, small.ground) == small
 
 
-@dataclass(frozen=True)
-class EmbeddingReport:
+class EmbeddingReport(_Value):
     """Outcome of a measure-embedding check, with a witness on failure."""
 
-    ok: bool
-    reason: str | None = None
-    witness: SubsetMask | None = None
+    __slots__ = __match_args__ = ("ok", "reason", "witness")
+
+    def __init__(self, ok: bool, reason: str | None = None, witness: SubsetMask | None = None):
+        _setattr(self, "ok", ok)
+        _setattr(self, "reason", reason)
+        _setattr(self, "witness", witness)
 
 
 def measure_embedding_report(small: MeasureSpace, big: MeasureSpace) -> EmbeddingReport:
@@ -105,8 +108,7 @@ def check_measure_embedding(small: MeasureSpace, big: MeasureSpace) -> bool:
     return measure_embedding_report(small, big).ok
 
 
-@dataclass(frozen=True)
-class ExtensionKit:
+class ExtensionKit(_Value):
     """Generating data for an extension of a base measure space.
 
     - ``pasted``: a measurable space (Z, D) on fresh labels;
@@ -122,18 +124,23 @@ class ExtensionKit:
     from D_B1, D_B2 land in D_(B1 union B2).
     """
 
-    base: MeasureSpace
-    pasted: SigmaAlgebra
-    dfamily: Mapping[SubsetMask, frozenset[SubsetMask]]
-    fibers: Mapping[SubsetMask, tuple[str, ...]]
+    __slots__ = __match_args__ = ("base", "pasted", "dfamily", "fibers")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "dfamily", {k: frozenset(v) for k, v in self.dfamily.items()}
-        )
-        object.__setattr__(
-            self, "fibers", {k: tuple(v) for k, v in self.fibers.items()}
-        )
+    def __init__(
+        self,
+        base: MeasureSpace,
+        pasted: SigmaAlgebra,
+        dfamily: Mapping[SubsetMask, frozenset[SubsetMask]],
+        fibers: Mapping[SubsetMask, tuple[str, ...]],
+    ):
+        if not isinstance(base, MeasureSpace):
+            raise InputFormatError(f"a kit's base must be a MeasureSpace, got {base!r}")
+        if not isinstance(pasted, SigmaAlgebra):
+            raise InputFormatError(f"a kit's pasted part must be a SigmaAlgebra, got {pasted!r}")
+        _setattr(self, "base", base)
+        _setattr(self, "pasted", pasted)
+        _setattr(self, "dfamily", {k: frozenset(v) for k, v in dfamily.items()})
+        _setattr(self, "fibers", {k: tuple(v) for k, v in fibers.items()})
 
 
 def identity_kit(base: MeasureSpace) -> ExtensionKit:
@@ -343,25 +350,34 @@ def construct_extension(kit: ExtensionKit) -> MeasureSpace:
     return result
 
 
-@dataclass(frozen=True)
-class PointAssignment:
+class PointAssignment(_Value):
     """Where an outside point of a decomposition lives.
 
     ``kind`` is "pasted" (separable from X by a measurable set) or
     "fiber" (stuck to the base atom ``kernel``).
     """
 
-    kind: str
-    kernel: SubsetMask | None = None
+    __slots__ = __match_args__ = ("kind", "kernel")
+
+    def __init__(self, kind: str, kernel: SubsetMask | None = None):
+        _setattr(self, "kind", kind)
+        _setattr(self, "kernel", kernel)
 
 
-@dataclass(frozen=True)
-class DecompositionRecord:
+class DecompositionRecord(_Value):
     """Canonical split of an extension into X-part, fibers, and pasted part."""
 
-    z_part: SubsetMask
-    kit: ExtensionKit
-    point_assignment: dict[str, PointAssignment]
+    __slots__ = __match_args__ = ("z_part", "kit", "point_assignment")
+
+    def __init__(
+        self,
+        z_part: SubsetMask,
+        kit: ExtensionKit,
+        point_assignment: dict[str, PointAssignment],
+    ):
+        _setattr(self, "z_part", z_part)
+        _setattr(self, "kit", kit)
+        _setattr(self, "point_assignment", point_assignment)
 
     @property
     def point_form(self) -> bool:
@@ -440,8 +456,7 @@ def decompose_extension(big: MeasureSpace, x: SubsetMask) -> DecompositionRecord
     return DecompositionRecord(z_part=z_part, kit=kit, point_assignment=assignment)
 
 
-@dataclass(frozen=True)
-class OutsidePointClass:
+class OutsidePointClass(_Value):
     """Classification of an outside point of an extension.
 
     kind "pasted": covered by a measurable set missing X entirely;
@@ -451,8 +466,11 @@ class OutsidePointClass:
     occurs on a finite space (its presence is a bug or a test failure).
     """
 
-    kind: str
-    anchors: tuple[str, ...] = ()
+    __slots__ = __match_args__ = ("kind", "anchors")
+
+    def __init__(self, kind: str, anchors: tuple[str, ...] = ()):
+        _setattr(self, "kind", kind)
+        _setattr(self, "anchors", anchors)
 
 
 def classify_outside_points(

@@ -19,8 +19,6 @@ and the transfer of ultrafilters along sub- and super-space inclusions
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     GroundSet,
     MeasureSpace,
@@ -28,6 +26,8 @@ from .core import (
     SigmaAlgebra,
     SubsetMask,
     ZERO,
+    _setattr,
+    _Value,
     mask_key,
     trace_algebra,
     transfer_mask,
@@ -35,25 +35,27 @@ from .core import (
 from .errors import GroundMismatchError, InputFormatError, PreconditionError
 
 
-@dataclass(frozen=True)
-class SetFamily:
+class SetFamily(_Value):
     """A family of measurable sets inside one sigma-algebra."""
 
-    algebra: SigmaAlgebra
-    members: frozenset[SubsetMask]
+    __slots__ = __match_args__ = ("algebra", "members")
 
-    def __post_init__(self):
-        members = frozenset(self.members)
-        object.__setattr__(self, "members", members)
+    def __init__(self, algebra: SigmaAlgebra, members: frozenset[SubsetMask]):
+        if not isinstance(algebra, SigmaAlgebra):
+            raise InputFormatError(f"a family needs a SigmaAlgebra, got {algebra!r}")
+        members = frozenset(members)
         for m in members:
-            self.algebra.require_member(m)
+            if not isinstance(m, SubsetMask):
+                raise InputFormatError(f"family members must be SubsetMasks, got {m!r}")
+            algebra.require_member(m)
+        _setattr(self, "algebra", algebra)
+        _setattr(self, "members", members)
 
     def sorted_members(self) -> list[SubsetMask]:
         return sorted(self.members, key=mask_key)
 
 
-@dataclass(frozen=True)
-class UltrafilterRecord:
+class UltrafilterRecord(_Value):
     """A set family together with its kernel and classification flags.
 
     ``kernel`` is the intersection of all members (the whole ground set
@@ -61,13 +63,33 @@ class UltrafilterRecord:
     an atom, and has_cip / not is_free / nonempty kernel coincide.
     """
 
-    family: SetFamily
-    kernel: SubsetMask
-    is_filter_base: bool
-    is_filter: bool
-    is_ultrafilter: bool
-    has_cip: bool
-    is_free: bool
+    __slots__ = __match_args__ = (
+        "family",
+        "kernel",
+        "is_filter_base",
+        "is_filter",
+        "is_ultrafilter",
+        "has_cip",
+        "is_free",
+    )
+
+    def __init__(
+        self,
+        family: SetFamily,
+        kernel: SubsetMask,
+        is_filter_base: bool,
+        is_filter: bool,
+        is_ultrafilter: bool,
+        has_cip: bool,
+        is_free: bool,
+    ):
+        _setattr(self, "family", family)
+        _setattr(self, "kernel", kernel)
+        _setattr(self, "is_filter_base", is_filter_base)
+        _setattr(self, "is_filter", is_filter)
+        _setattr(self, "is_ultrafilter", is_ultrafilter)
+        _setattr(self, "has_cip", has_cip)
+        _setattr(self, "is_free", is_free)
 
     @property
     def algebra(self) -> SigmaAlgebra:
@@ -157,29 +179,27 @@ def extend_to_ultrafilter(base: SetFamily) -> UltrafilterRecord:
     return principal_ultrafilter(base.algebra, atom)
 
 
-@dataclass(frozen=True)
-class ZeroOneMeasure:
+class ZeroOneMeasure(_Value):
     """A measure space whose every value lies in {0, 1}.
 
     For all measurable sets to get values in {0, 1}, at most one atom may
     carry value 1; "nontrivial" means the whole space has measure 1.
+    ``unit_atom`` is that atom, or None.
     """
 
-    ms: MeasureSpace
+    __match_args__ = ("ms",)
+    __slots__ = ("ms", "unit_atom")
 
-    def __post_init__(self):
-        ones = [
-            a for a, v in zip(self.ms.algebra.atoms, self.ms.atom_values) if v == ONE
-        ]
-        if any(v not in (ZERO, ONE) for v in self.ms.atom_values) or len(ones) > 1:
+    def __init__(self, ms: MeasureSpace):
+        if not isinstance(ms, MeasureSpace):
+            raise InputFormatError(f"a {{0,1}}-valued measure needs a MeasureSpace, got {ms!r}")
+        ones = [a for a, v in zip(ms.algebra.atoms, ms.atom_values) if v == ONE]
+        if any(v not in (ZERO, ONE) for v in ms.atom_values) or len(ones) > 1:
             raise InputFormatError(
                 "a {0,1}-valued measure has at most one atom of value 1"
             )
-        object.__setattr__(self, "_unit_atom", ones[0] if ones else None)
-
-    @property
-    def unit_atom(self) -> SubsetMask | None:
-        return self._unit_atom  # type: ignore[attr-defined]
+        _setattr(self, "ms", ms)
+        _setattr(self, "unit_atom", ones[0] if ones else None)
 
     @property
     def is_nontrivial(self) -> bool:

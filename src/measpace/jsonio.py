@@ -8,7 +8,7 @@ emits re-parses to an identical value.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .core import (
     ExtReal,
@@ -18,10 +18,14 @@ from .core import (
     SubsetMask,
     mask_key,
 )
-from .embeddings import DecompositionRecord, ExtensionKit
 from .errors import InputFormatError
-from .filters import SetFamily, UltrafilterRecord, classify_family
-from .products import ProductSpace, product_space
+
+# only the loaders that build these types import their modules, so reading
+# a space loads none of them
+if TYPE_CHECKING:
+    from .embeddings import DecompositionRecord, ExtensionKit
+    from .filters import SetFamily, UltrafilterRecord
+    from .products import ProductSpace
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -123,6 +127,8 @@ def family_to_obj(family: SetFamily, space_obj: dict | None = None) -> dict:
 
 def family_from_obj(raw: Any) -> tuple[SetFamily, MeasureSpace | None]:
     """Parse a family; the embedded space may optionally carry values."""
+    from .filters import SetFamily
+
     if not isinstance(raw, dict):
         raise InputFormatError("family must be a JSON object")
     loaded = optional_space_from_obj(raw.get("space"), "family.space")
@@ -152,6 +158,8 @@ def record_to_obj(record: UltrafilterRecord, space_obj: dict | None = None) -> d
 
 def record_from_obj(raw: Any) -> tuple[UltrafilterRecord, MeasureSpace | None]:
     """Parse a family or record; flags are recomputed, never trusted."""
+    from .filters import classify_family
+
     family, ms = family_from_obj(raw)
     record = classify_family(family)
     if "kernel" in raw:
@@ -201,6 +209,8 @@ def kit_to_obj(kit: ExtensionKit) -> dict:
 
 
 def kit_from_obj(raw: Any) -> ExtensionKit:
+    from .embeddings import ExtensionKit
+
     if not isinstance(raw, dict):
         raise InputFormatError("kit must be a JSON object")
     base = space_from_obj(raw.get("base"), "kit.base")
@@ -250,6 +260,8 @@ def product_to_obj(ps: ProductSpace) -> dict:
 
 def product_from_obj(raw: Any) -> ProductSpace:
     """Rebuild a product from its factors; the composite must match."""
+    from .products import product_space
+
     if not isinstance(raw, dict) or not isinstance(raw.get("factors"), dict):
         raise InputFormatError("product space needs a \"factors\" object")
     left = space_from_obj(raw["factors"].get("left"), "factors.left")

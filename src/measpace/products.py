@@ -8,14 +8,14 @@ the convention 0 * inf = 0.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     MAX_POINTS,
     GroundSet,
     MeasureSpace,
     SigmaAlgebra,
     SubsetMask,
+    _setattr,
+    _Value,
 )
 from .errors import GroundMismatchError, PreconditionError, SizeCapError
 from .filters import UltrafilterRecord, principal_ultrafilter
@@ -35,17 +35,19 @@ def _rectangle_bits(b: SubsetMask, c: SubsetMask) -> int:
     return sum(c.bits << i * c.ground.size for i in b.indices())
 
 
-@dataclass(frozen=True)
-class ProductSpace:
+class ProductSpace(_Value):
     """A left and right factor plus their product measure space.
 
     Pair labels are ordered lexicographically by (left index, right
     index), so the point (i, j) sits at bit i * right_size + j.
     """
 
-    left: MeasureSpace
-    right: MeasureSpace
-    product: MeasureSpace
+    __slots__ = __match_args__ = ("left", "right", "product")
+
+    def __init__(self, left: MeasureSpace, right: MeasureSpace, product: MeasureSpace):
+        _setattr(self, "left", left)
+        _setattr(self, "right", right)
+        _setattr(self, "product", product)
 
     def pair_bit(self, i: int, j: int) -> int:
         return i * self.right.ground.size + j

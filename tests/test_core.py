@@ -130,6 +130,12 @@ def test_mask_rejects_bits_that_are_not_an_int(bits):
         SubsetMask(G("a", "b"), bits)
 
 
+@pytest.mark.parametrize("ground", [("a", "b"), ["a"], "ab", None])
+def test_mask_refuses_a_ground_that_is_not_a_ground_set(ground):
+    with pytest.raises(InputFormatError):
+        SubsetMask(ground, 1)
+
+
 def _indices_by_range_walk(mask):
     return tuple(i for i in range(mask.ground.size) if mask.bits >> i & 1)
 
@@ -171,6 +177,19 @@ def test_algebra_refuses_an_atom_over_another_ground():
         SigmaAlgebra(g, (g.mask(["a"]), other.mask(["c"])))
     with pytest.raises(GroundMismatchError):
         SigmaAlgebra(g, (other.mask(["a", "c"]),))
+
+
+def test_algebra_refuses_components_that_are_not_a_ground_set_and_masks():
+    g = G("a", "b")
+    for ground, atoms in (
+        (g, (1,)),
+        (g, (g.mask(["a"]), None)),
+        (g, (g.mask(["a"]), ("b",))),
+        (("a", "b"), (g.full,)),
+        (None, ()),
+    ):
+        with pytest.raises(InputFormatError):
+            SigmaAlgebra(ground, atoms)
 
 
 def test_algebra_accepts_atoms_over_an_equal_ground_object():
@@ -268,6 +287,14 @@ def test_measure_space_refuses_a_wrong_value_count():
         MeasureSpace(SigmaAlgebra.discrete(g), (ONE,))
     with pytest.raises(InputFormatError, match=r"^need one value per atom: 3 values for 2 atoms$"):
         MeasureSpace(SigmaAlgebra.discrete(g), [1, 2, 3])
+
+
+def test_measure_space_refuses_an_algebra_that_is_not_a_sigma_algebra():
+    g = G("a")
+    discrete = MeasureSpace(SigmaAlgebra.discrete(g), (ONE,))
+    for algebra in (None, g, discrete, (g.full,)):
+        with pytest.raises(InputFormatError):
+            MeasureSpace(algebra, ())
 
 
 def test_measure_space_coerces_values_to_ext_reals():

@@ -9,6 +9,7 @@ from measpace import (
     GroundMismatchError,
     GroundSet,
     INFINITY,
+    InputFormatError,
     InvalidKitError,
     InvariantError,
     MeasureSpace,
@@ -232,6 +233,14 @@ def test_construct_rejects_invalid():
     with pytest.raises(InvalidKitError) as err:
         construct_extension(bad)
     assert err.value.problems
+
+
+def test_kit_refuses_a_base_or_pasted_part_of_the_wrong_type():
+    base = one_point_base()
+    pasted = z_algebra()
+    for kit_base, kit_pasted in ((None, pasted), (base.algebra, pasted), (base, pasted.ground), (base, None)):
+        with pytest.raises(InputFormatError):
+            ExtensionKit(kit_base, kit_pasted, {}, {})
 
 
 def test_construct_checks_its_result_without_assert(monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 
 from measpace import (
     GroundSet,
+    InputFormatError,
     MeasureSpace,
     ONE,
     PreconditionError,
@@ -317,6 +318,26 @@ def test_zero_one_measure_validation():
         ZeroOneMeasure(space(g, (["a"], ["b"]), (1, 1)))
     with pytest.raises(Exception):
         ZeroOneMeasure(space(g, (["a"], ["b"]), (2, 0)))
+
+
+def test_family_refuses_components_that_are_not_an_algebra_and_masks():
+    g = G("a", "b")
+    algebra = SigmaAlgebra.discrete(g)
+    for ground_part, members in (
+        (None, frozenset()),
+        (g, frozenset()),
+        (algebra, {1}),
+        (algebra, {g.full, ("a",)}),
+    ):
+        with pytest.raises(InputFormatError):
+            SetFamily(ground_part, members)
+
+
+def test_zero_one_measure_refuses_what_is_not_a_measure_space():
+    algebra = SigmaAlgebra.discrete(G("a"))
+    for ms in (None, algebra):
+        with pytest.raises(InputFormatError):
+            ZeroOneMeasure(ms)
 
 
 def test_uf_from_01_measure_examples_and_roundtrip():
