@@ -4,8 +4,7 @@ extensions.
 Sigma-algebras on finite ground sets are stored as atom partitions,
 measures as exact extended-rational atom values.  The embeddings module
 characterizes every measure space a given one embeds into via extension
-kits (blow-up fibers plus a pasted null part) and cross-checks the
-characterization against brute-force enumeration.
+kits (blow-up fibers plus a pasted null part).
 
 The names below are loaded from their submodule on first use, so
 ``import measpace`` (and so every CLI call) runs only the submodules a

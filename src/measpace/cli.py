@@ -67,15 +67,18 @@ def _set_arg(args) -> list[str]:
 
 # ------------------------------------------------------------- handlers
 
-def _cmd_generate(args):
-    raw = _read_json(args.space)
+def _generators_from_obj(raw):
     if not isinstance(raw, dict):
         raise InputFormatError("generate input must be a JSON object")
     ground = GroundSet(tuple(jsonio._string_list(raw.get("points"), "points")))
     gens_raw = raw.get("generators", [])
     if not isinstance(gens_raw, list):
         raise InputFormatError("generators must be a list of label lists")
-    gens = [jsonio.mask_from_obj(ground, g, "generators") for g in gens_raw]
+    return ground, [jsonio.mask_from_obj(ground, g, "generators") for g in gens_raw]
+
+
+def _cmd_generate(args):
+    ground, gens = _load(args.space, _generators_from_obj)
     return 0, jsonio.algebra_to_obj(generate_sigma_algebra(ground, gens))
 
 
@@ -267,18 +270,16 @@ def _cmd_lift_uf(args):
     return 0, jsonio.record_to_obj(lifted, jsonio.product_to_obj(ps))
 
 
+def _product_record_from_obj(raw):
+    if not isinstance(raw, dict):
+        raise InputFormatError("project-uf input must be a JSON object")
+    return jsonio.product_from_obj(raw.get("space")), jsonio.record_from_obj(raw)[0]
+
+
 def _cmd_project_uf(args):
     from .products import project_ultrafilter
 
-    raw = _read_json(args.space)
-    if not isinstance(raw, dict):
-        raise InputFormatError("project-uf input must be a JSON object")
-    try:
-        ps = jsonio.product_from_obj(raw.get("space"))
-        record, _ = jsonio.record_from_obj(raw)
-    except MeaspaceError as exc:
-        exc.path = args.space
-        raise
+    ps, record = _load(args.space, _product_record_from_obj)
     left, right = project_ultrafilter(ps, record)
     return 0, {
         "left": jsonio.record_to_obj(left, jsonio.space_to_obj(ps.left)),

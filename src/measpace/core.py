@@ -10,8 +10,8 @@ between threads.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from typing import Iterable, Iterator
 
 from .errors import (
     GroundMismatchError,
@@ -33,6 +33,17 @@ _EXPONENT = re.compile(r"e([-+]?\d[\d_]*)$", re.IGNORECASE)
 
 # __init__ stores fields through object's setter: the classes refuse assignment
 _setattr = object.__setattr__
+
+
+def _ordered(items, what: str) -> tuple:
+    """``items`` as a tuple; a string, a set or a non-iterable is refused.
+
+    A string would split into one-letter labels, and a set would give an
+    order (so bit positions) that depends on string hashing.
+    """
+    if isinstance(items, (str, set, frozenset)) or not isinstance(items, Iterable):
+        raise InputFormatError(f"{what} must be an ordered sequence of strings, got {items!r}")
+    return tuple(items)
 
 
 class _Value:
@@ -186,13 +197,7 @@ class GroundSet(_Value):
     __slots__ = ("labels", "_position")
 
     def __init__(self, labels: tuple[str, ...]):
-        # a string would split into one-letter points, and a set would give
-        # an order (so bit positions) that depends on string hashing
-        if isinstance(labels, (str, set, frozenset)):
-            raise InputFormatError(
-                f"point labels must be an ordered sequence of strings, got {labels!r}"
-            )
-        labels = tuple(labels)
+        labels = _ordered(labels, "point labels")
         if len(labels) > MAX_POINTS:
             raise SizeCapError(
                 f"ground set has {len(labels)} points; the cap is {MAX_POINTS}"

@@ -15,8 +15,8 @@ extension of a base space by finitely many fresh points from the kits.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from functools import partial
-from typing import Iterable, Mapping
 
 from .core import (
     MAX_POINTS,
@@ -25,6 +25,7 @@ from .core import (
     MeasureSpace,
     SigmaAlgebra,
     SubsetMask,
+    _ordered,
     _setattr,
     _Value,
     bits_key,
@@ -82,7 +83,7 @@ def measure_embedding_report(small: MeasureSpace, big: MeasureSpace) -> Embeddin
     a small-side set that is not a trace at all.
     """
     x = _embedded_mask(small.ground, big.ground)
-    if trace_algebra(big.algebra, x, small.ground) == small.algebra and all(
+    if check_measurable_embedding(small.algebra, big.algebra) and all(
         value == small.measure_of(transfer_mask(atom & x, small.ground))
         for atom, value in zip(big.algebra.atoms, big.atom_values)
     ):
@@ -137,10 +138,29 @@ class ExtensionKit(_Value):
             raise InputFormatError(f"a kit's base must be a MeasureSpace, got {base!r}")
         if not isinstance(pasted, SigmaAlgebra):
             raise InputFormatError(f"a kit's pasted part must be a SigmaAlgebra, got {pasted!r}")
+        if not isinstance(dfamily, Mapping) or not isinstance(fibers, Mapping):
+            raise InputFormatError(
+                f"a kit's dfamily and fibers must be mappings, got {dfamily!r} and {fibers!r}"
+            )
+        families = {}
+        for key, members in dfamily.items():
+            if not isinstance(members, Iterable):
+                raise InputFormatError(f"the pasted family of {key!r} is not a collection")
+            families[key] = members = frozenset(members)
+            for mask in (key, *members):
+                if not isinstance(mask, SubsetMask):
+                    raise InputFormatError(f"a kit's dfamily must hold SubsetMasks, got {mask!r}")
+        fiber_labels = {}
+        for kernel, labels in fibers.items():
+            fiber_labels[kernel] = labels = _ordered(labels, "fiber labels")
+            if not isinstance(kernel, SubsetMask) or not all(isinstance(s, str) for s in labels):
+                raise InputFormatError(
+                    f"fibers must map SubsetMasks to label strings, got {kernel!r}: {labels!r}"
+                )
         _setattr(self, "base", base)
         _setattr(self, "pasted", pasted)
-        _setattr(self, "dfamily", {k: frozenset(v) for k, v in dfamily.items()})
-        _setattr(self, "fibers", {k: tuple(v) for k, v in fibers.items()})
+        _setattr(self, "dfamily", families)
+        _setattr(self, "fibers", fiber_labels)
 
 
 def identity_kit(base: MeasureSpace) -> ExtensionKit:
@@ -172,10 +192,6 @@ def auto_fibers(sizes: Mapping[SubsetMask, int]) -> dict[SubsetMask, tuple[str, 
         u = kernel.labels()[0]
         out[kernel] = tuple(f"{u}#{k}" for k in range(1, size + 1))
     return out
-
-
-def _fmt_bits(ground: GroundSet, bits: int) -> str:
-    return "{%s}" % ",".join(ground.labels[i] for i in bits_key(bits))
 
 
 def validate_kit(kit: ExtensionKit) -> list[str]:
@@ -265,7 +281,7 @@ def _closure_problems(kit: ExtensionKit) -> list[str]:
     family = {b.bits: {d.bits for d in ds} for b, ds in kit.dfamily.items()}
     ordered = {b: sorted(ds, key=bits_key) for b, ds in family.items()}
     keys = sorted(family, key=bits_key)
-    fb, fz = partial(_fmt_bits, base_ground), partial(_fmt_bits, z_ground)
+    fb, fz = partial(SubsetMask, base_ground), partial(SubsetMask, z_ground)
     problems: list[str] = []
     if 0 not in family[0]:
         problems.append("the empty pasted set is missing from the family of the empty base set")
@@ -274,8 +290,8 @@ def _closure_problems(kit: ExtensionKit) -> list[str]:
         for d in ordered[b]:
             if d ^ z_full not in family[comp]:
                 problems.append(
-                    f"complement {fz(d ^ z_full)} of {fz(d)} in the family of "
-                    f"{fb(b)} is missing from the family of {fb(comp)}"
+                    f"complement {fz(d ^ z_full)!r} of {fz(d)!r} in the family of "
+                    f"{fb(b)!r} is missing from the family of {fb(comp)!r}"
                 )
     for b1 in keys:
         for b2 in keys:
@@ -284,8 +300,8 @@ def _closure_problems(kit: ExtensionKit) -> list[str]:
                 for d2 in ordered[b2]:
                     if d1 | d2 not in target:
                         problems.append(
-                            f"union {fz(d1 | d2)} of selections from {fb(b1)} and "
-                            f"{fb(b2)} is missing from the family of {fb(b1 | b2)}"
+                            f"union {fz(d1 | d2)!r} of selections from {fb(b1)!r} and "
+                            f"{fb(b2)!r} is missing from the family of {fb(b1 | b2)!r}"
                         )
     return problems
 
@@ -389,25 +405,44 @@ class DecompositionRecord(_Value):
         return all(kernel.size == 1 for kernel in self.kit.fibers)
 
 
-def _induced_base(big: MeasureSpace, x: SubsetMask) -> MeasureSpace:
-    """The trace measure space on X, or an error if X does not embed."""
-    target = GroundSet(x.labels())
-    small_alg = trace_algebra(big.algebra, x, target)
-    # big atoms are disjoint, so each trace atom is A & X for exactly one
-    # big atom A; it need not sort where A does unless X comes first
-    value_of = {
-        transfer_mask(atom & x, target): value
-        for atom, value in zip(big.algebra.atoms, big.atom_values)
-        if atom.bits & x.bits
-    }
+def _induced_base(big: MeasureSpace, x: SubsetMask) -> tuple:
+    """Read an extension over X in one pass over its atoms.
+
+    Returns the trace space on X, the bits of Z (the big atoms that miss
+    X), the fibers, and the assignment of every point of Y minus X, in
+    atom order.  Big atoms are disjoint, so each trace atom is A & X for
+    exactly one big atom A and carries A's value; it need not sort where
+    A does unless X comes first.  So the trace space embeds exactly when
+    every atom that misses X is null, that is, when X is thick.  Only a
+    refusal runs the embedding report, for its reason and witness.
+    """
+    if x.ground != big.ground:
+        raise GroundMismatchError("x is over a different ground set")
+    small_alg = trace_algebra(big.algebra, x)
+    value_of = {}
+    z_bits = 0
+    fibers: dict[SubsetMask, tuple[str, ...]] = {}
+    assignment: dict[str, PointAssignment] = {}
+    for atom, value in zip(big.algebra.atoms, big.atom_values):
+        inside = atom & x
+        if inside:
+            kernel = transfer_mask(inside, small_alg.ground)
+            value_of[kernel] = value
+            stuck = (atom - x).labels()
+            if stuck:
+                fibers[kernel] = stuck
+                assignment.update(dict.fromkeys(stuck, PointAssignment("fiber", kernel)))
+        else:
+            z_bits |= atom.bits
+            assignment.update(dict.fromkeys(atom.labels(), PointAssignment("pasted")))
     small = MeasureSpace(small_alg, tuple(value_of[t] for t in small_alg.atoms))
-    report = measure_embedding_report(small, big)
-    if not report.ok:
+    if not big.is_thick(x):
+        report = measure_embedding_report(small, big)
         raise PreconditionError(
             f"the trace space on X is not embedded: {report.reason}"
             f" at {report.witness!r}"
         )
-    return small
+    return small, z_bits, fibers, assignment
 
 
 def decompose_extension(big: MeasureSpace, x: SubsetMask) -> DecompositionRecord:
@@ -419,39 +454,9 @@ def decompose_extension(big: MeasureSpace, x: SubsetMask) -> DecompositionRecord
     kernel of p's fiber.  Each big atom lies in Z or outside it, so any
     pasted set goes with any base set: D_B is all of D for every B.
     """
-    if x.ground != big.ground:
-        raise GroundMismatchError("x is over a different ground set")
-    small = _induced_base(big, x)
-
-    z_bits = 0
-    for atom in big.algebra.atoms:
-        if atom.bits & x.bits == 0:
-            z_bits |= atom.bits
+    small, z_bits, fibers, assignment = _induced_base(big, x)
     z_part = SubsetMask(big.ground, z_bits)
-    z_ground = GroundSet(z_part.labels())
-    pasted = SigmaAlgebra(
-        z_ground,
-        tuple(
-            transfer_mask(atom, z_ground)
-            for atom in big.algebra.atoms
-            if atom.issubset(z_part)
-        ),
-    )
-
-    fibers: dict[SubsetMask, tuple[str, ...]] = {}
-    assignment: dict[str, PointAssignment] = {}
-    for label in z_part.labels():
-        assignment[label] = PointAssignment("pasted")
-    for atom in big.algebra.atoms:
-        inside = atom & x
-        stuck = atom - x
-        if not inside or not stuck:
-            continue
-        kernel = transfer_mask(inside, small.ground)
-        fibers[kernel] = stuck.labels()
-        for label in stuck.labels():
-            assignment[label] = PointAssignment("fiber", kernel)
-
+    pasted = trace_algebra(big.algebra, z_part)
     kit = ExtensionKit(small, pasted, full_dfamily(small.algebra, pasted), fibers)
     return DecompositionRecord(z_part=z_part, kit=kit, point_assignment=assignment)
 
@@ -460,10 +465,7 @@ class OutsidePointClass(_Value):
     """Classification of an outside point of an extension.
 
     kind "pasted": covered by a measurable set missing X entirely;
-    kind "sticks_to": inseparable from the named base points;
-    kind "separated": separable from every base point but not pasted,
-    which requires a free ultrafilter with c.i.p. and therefore never
-    occurs on a finite space (its presence is a bug or a test failure).
+    kind "sticks_to": inseparable from the named base points.
     """
 
     __slots__ = __match_args__ = ("kind", "anchors")
@@ -476,24 +478,14 @@ class OutsidePointClass(_Value):
 def classify_outside_points(
     big: MeasureSpace, x: SubsetMask
 ) -> dict[str, OutsidePointClass]:
-    """Label every point of Y minus X as pasted / sticks_to / separated."""
-    if x.ground != big.ground:
-        raise GroundMismatchError("x is over a different ground set")
-    _induced_base(big, x)
-    out: dict[str, OutsidePointClass] = {}
-    for atom in big.algebra.atoms:
-        inside = atom & x
-        outside = atom - x
-        if not outside:
-            continue
-        if not inside:
-            for label in outside.labels():
-                out[label] = OutsidePointClass("pasted")
-        else:
-            kind = OutsidePointClass("sticks_to", inside.labels())
-            for label in outside.labels():
-                out[label] = kind
-    return out
+    """Label every point of Y minus X as pasted or sticking to base points."""
+    *_, assignment = _induced_base(big, x)
+    return {
+        label: OutsidePointClass("pasted")
+        if where.kernel is None
+        else OutsidePointClass("sticks_to", where.kernel.labels())
+        for label, where in assignment.items()
+    }
 
 
 def enumerate_extensions(

@@ -20,7 +20,6 @@ and the transfer of ultrafilters along sub- and super-space inclusions
 from __future__ import annotations
 
 from .core import (
-    GroundSet,
     MeasureSpace,
     ONE,
     SigmaAlgebra,
@@ -268,6 +267,5 @@ def restrict_by_trace(h: UltrafilterRecord, x: SubsetMask) -> UltrafilterRecord:
     if h.kernel.isdisjoint(x):
         member = next(m for m in h.family.sorted_members() if m.isdisjoint(x))
         raise PreconditionError(f"member {member!r} does not meet X")
-    target = GroundSet(x.labels())
-    small = trace_algebra(h.algebra, x, target)
-    return principal_ultrafilter(small, transfer_mask(h.kernel & x, target))
+    small = trace_algebra(h.algebra, x)
+    return principal_ultrafilter(small, transfer_mask(h.kernel & x, small.ground))

@@ -25,6 +25,7 @@ from measpace import (
     GroundSet,
     InputFormatError,
     MeasureSpace,
+    OutsidePointClass,
     PointAssignment,
     PreconditionError,
     SetFamily,
@@ -37,10 +38,11 @@ from measpace import (
     check_measurable_embedding,
     check_measure_embedding,
     mask_key,
+    measure_embedding_report,
     trace_algebra,
     transfer_mask,
 )
-from measpace.embeddings import ENUMERATION_CAP, _induced_base
+from measpace.embeddings import ENUMERATION_CAP
 from measpace.partitions import set_partitions
 
 
@@ -604,13 +606,65 @@ def project_ultrafilter_oracle(ps, h):
     return left, right
 
 
+def trace_space(big, x):
+    """The trace measure space on X: each trace atom A & X carries the
+    value of its big atom A.  It embeds exactly when X is thick."""
+    target = GroundSet(x.labels())
+    small_alg = trace_algebra(big.algebra, x, target)
+    # big atoms are disjoint, so each trace atom is A & X for exactly one
+    # big atom A; it need not sort where A does unless X comes first
+    value_of = {
+        transfer_mask(atom & x, target): value
+        for atom, value in zip(big.algebra.atoms, big.atom_values)
+        if atom.bits & x.bits
+    }
+    return MeasureSpace(small_alg, tuple(value_of[t] for t in small_alg.atoms))
+
+
+def induced_base_oracle(big, x):
+    """The trace space on X, or an error naming the embedding report's
+    reason and witness if it does not embed."""
+    small = trace_space(big, x)
+    report = measure_embedding_report(small, big)
+    if not report.ok:
+        raise PreconditionError(
+            f"the trace space on X is not embedded: {report.reason}"
+            f" at {report.witness!r}"
+        )
+    return small
+
+
+def classify_outside_points_oracle(big, x):
+    """Each outside point is pasted when its big atom misses X, and
+    otherwise sticks to the points its atom shares with X."""
+    if x.ground != big.ground:
+        raise GroundMismatchError("x is over a different ground set")
+    induced_base_oracle(big, x)
+    out = {}
+    for atom in big.algebra.atoms:
+        inside = atom & x
+        outside = atom - x
+        if not outside:
+            continue
+        if not inside:
+            for label in outside.labels():
+                out[label] = OutsidePointClass("pasted")
+        else:
+            kind = OutsidePointClass("sticks_to", inside.labels())
+            for label in outside.labels():
+                out[label] = kind
+    return out
+
+
 def decompose_extension_oracle(big, x):
     """The canonical kit read set by set: D_B collects the Z-traces of
     the sets whose X-trace is B, and each outside point p in a big atom
     that meets X goes to the kernel of the classified family
     {C & X : p in C}.
     """
-    small = _induced_base(big, x)
+    if x.ground != big.ground:
+        raise GroundMismatchError("x is over a different ground set")
+    small = induced_base_oracle(big, x)
     z_bits = 0
     for atom in big.algebra.atoms:
         if atom.bits & x.bits == 0:

@@ -180,6 +180,25 @@ def test_error_objects(capsys, tmp_path):
         err = json.loads(capsys.readouterr().out)["error"]
         assert code == 2 and err["code"] == "bad-input" and err["path"] == argv[2]
 
+    # input errors of the two verbs that parse their own input name the file
+    for name, verb, raw, message in (
+        ("dup.json", "generate", {"points": ["a", "a"]}, "duplicate point label 'a'"),
+        (
+            "unknown.json",
+            "generate",
+            {"points": ["a"], "generators": [["b"]]},
+            "unknown point label 'b'",
+        ),
+        ("gen_list.json", "generate", [], "generate input must be a JSON object"),
+        ("proj_list.json", "project-uf", [], "project-uf input must be a JSON object"),
+    ):
+        path = tmp_path / name
+        path.write_text(json.dumps(raw))
+        code = run([verb, "--space", str(path)])
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert code == 2
+        assert err == {"code": "bad-input", "message": message, "path": str(path)}
+
     # numbers too long to parse, build or print: a JSON integer past the
     # interpreter's 4300-digit conversion cap, exponents past that cap,
     # and a product of two 3000-digit values

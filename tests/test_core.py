@@ -118,7 +118,7 @@ def test_mask_ops_and_ground_mismatch():
 def test_ground_rejects_a_string_or_a_set_of_labels():
     # "ab" would otherwise become the two points a and b, and a set's
     # order would follow string hashing
-    for labels in ("ab", "a", {"a", "b"}, frozenset({"a"})):
+    for labels in ("ab", "a", {"a", "b"}, frozenset({"a"}), None, 5):
         with pytest.raises(InputFormatError):
             GroundSet(labels)
     assert GroundSet(["a", "b"]).labels == ("a", "b")

@@ -17,6 +17,7 @@ from measpace import (
     PreconditionError,
     SigmaAlgebra,
     SizeCapError,
+    SubsetMask,
     ZERO,
     all_sigma_algebras,
     check_measurable_embedding,
@@ -38,13 +39,17 @@ from support import (
     G,
     alg,
     check_thickness_equivalence,
+    classify_outside_points_oracle,
     count_extensions_oracle,
     decompose_extension_oracle,
     embedding_report_oracle,
     enumerate_extensions_oracle,
+    induced_base_oracle,
+    outcome,
     rgs_partitions,
     small_kits,
     space,
+    trace_space,
     validate_kit_oracle,
 )
 
@@ -241,6 +246,30 @@ def test_kit_refuses_a_base_or_pasted_part_of_the_wrong_type():
     for kit_base, kit_pasted in ((None, pasted), (base.algebra, pasted), (base, pasted.ground), (base, None)):
         with pytest.raises(InputFormatError):
             ExtensionKit(kit_base, kit_pasted, {}, {})
+
+
+def test_kit_refuses_a_dfamily_or_fibers_of_the_wrong_type():
+    # each of these used to escape as an AttributeError, or as a fiber of
+    # one-letter labels, instead of an input error
+    base = one_point_base()
+    pasted = z_algebra()
+    atom = base.algebra.atoms[0]
+    good = full_dfamily(base.algebra, pasted)
+    for dfamily, fibers in (
+        (None, {}),
+        (good, None),
+        ({**good, "a": frozenset({pasted.ground.empty})}, {}),
+        ({**good, atom: frozenset({"z"})}, {}),
+        ({**good, atom: None}, {}),
+        (good, {atom: "pq"}),
+        (good, {atom: (1,)}),
+        (good, {atom: {"p", "q"}}),
+        (good, {"a": ("p",)}),
+    ):
+        with pytest.raises(InputFormatError):
+            ExtensionKit(base, pasted, dfamily, fibers)
+    kit = ExtensionKit(base, pasted, good, {atom: ["p"]})
+    assert kit.fibers == {atom: ("p",)} and validate_kit(kit) == []
 
 
 def test_construct_checks_its_result_without_assert(monkeypatch):
@@ -570,10 +599,63 @@ def test_measure_embedding_report_matches_oracle():
     assert outcomes == {None, "trace-mismatch", "measure-mismatch"}
 
 
+def _extensions_both_ways_up_to(n_points):
+    """(extension, X) for every extension of ``_extensions_up_to``, and
+    for its copy over the reversed ground, which puts X last."""
+    for base, ext in _extensions_up_to(n_points):
+        for ms in (ext, _relabelled(ext, GroundSet(ext.ground.labels[::-1]))):
+            yield ms, ms.ground.mask(base.ground.labels)
+
+
 def test_decompose_extension_matches_set_by_set_decomposition():
     seen = 0
-    for base, ext in _extensions_up_to(5):
-        x = ext.ground.mask(base.ground.labels)
+    for ext, x in _extensions_both_ways_up_to(5):
         assert decompose_extension(ext, x) == decompose_extension_oracle(ext, x)
         seen += 1
-    assert seen == 221
+    assert seen == 2 * 221
+
+
+def test_classify_outside_points_matches_oracle():
+    seen = 0
+    for ext, x in _extensions_both_ways_up_to(5):
+        classes = classify_outside_points(ext, x)
+        assert classes == classify_outside_points_oracle(ext, x)
+        assert {cls.kind for cls in classes.values()} <= {"pasted", "sticks_to"}
+        seen += 1
+    assert seen == 2 * 221
+
+
+def _spaces_and_subsets_up_to(n_points):
+    """(space, X) for every space on at most ``n_points`` points with atom
+    values in {0, 1, inf}, and every subset X of its ground."""
+    for n in range(n_points + 1):
+        g = GroundSet(tuple("abcd"[:n]))
+        for algebra in all_sigma_algebras(g):
+            for values in iproduct((ZERO, ONE, INFINITY), repeat=len(algebra.atoms)):
+                ms = MeasureSpace(algebra, values)
+                for bits in range(1 << n):
+                    yield ms, SubsetMask(g, bits)
+
+
+def test_thick_iff_the_trace_space_embeds():
+    # the one-pass reading decides the embedding by thickness alone
+    thick = thin = 0
+    for ms, x in _spaces_and_subsets_up_to(4):
+        embeds = check_measure_embedding(trace_space(ms, x), ms)
+        assert ms.is_thick(x) == embeds
+        thick += embeds
+        thin += not embeds
+    assert thick > 1000 and thin > 1000
+
+
+def test_refusals_carry_the_oracle_message():
+    refused = 0
+    for ms, x in _spaces_and_subsets_up_to(4):
+        if ms.is_thick(x):
+            continue
+        expected = outcome(induced_base_oracle, ms, x)
+        assert expected[0] is PreconditionError
+        assert outcome(decompose_extension, ms, x) == expected
+        assert outcome(classify_outside_points, ms, x) == expected
+        refused += 1
+    assert refused > 1000
