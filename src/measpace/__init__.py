@@ -19,9 +19,9 @@ __all__ = [
     "SigmaAlgebra", "SubsetMask", "all_sigma_algebras", "generate_sigma_algebra",
     "mask_key", "trace_algebra", "transfer_mask",
     "DecompositionRecord", "EmbeddingReport", "ExtensionKit", "OutsidePointClass",
-    "PointAssignment", "auto_fibers", "check_measurable_embedding",
-    "check_measure_embedding", "classify_outside_points", "construct_extension",
-    "decompose_extension", "enumerate_extensions", "full_dfamily", "identity_kit",
+    "auto_fibers", "check_measurable_embedding", "check_measure_embedding",
+    "classify_outside_points", "construct_extension", "decompose_extension",
+    "enumerate_extensions", "full_dfamily", "identity_kit",
     "measure_embedding_report", "validate_kit",
     "GroundMismatchError", "InputFormatError", "InvalidKitError", "InvariantError",
     "MeaspaceError", "NotMeasurableError", "PreconditionError", "SizeCapError",
@@ -37,10 +37,10 @@ __all__ = [
 # the same order, grouped by submodule
 _EXPORTS = {
     "core": __all__[0:13],
-    "embeddings": __all__[13:29],
-    "errors": __all__[29:37],
-    "filters": __all__[37:48],
-    "products": __all__[48:54],
+    "embeddings": __all__[13:28],
+    "errors": __all__[28:36],
+    "filters": __all__[36:47],
+    "products": __all__[47:53],
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

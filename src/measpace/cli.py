@@ -228,15 +228,7 @@ def _cmd_classify_points(args):
 
     big = _load(args.big, jsonio.space_from_obj)
     x = big.ground.mask(_set_arg(args))
-    classes = classify_outside_points(big, x)
-    out = {}
-    for label in sorted(classes):
-        cls = classes[label]
-        if cls.kind == "sticks_to":
-            out[label] = {"sticks_to": list(cls.anchors)}
-        else:
-            out[label] = cls.kind
-    return 0, out
+    return 0, jsonio.outside_points_to_obj(classify_outside_points(big, x))
 
 
 def _cmd_product(args):

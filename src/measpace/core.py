@@ -46,6 +46,15 @@ def _ordered(items, what: str) -> tuple:
     return tuple(items)
 
 
+def _check_label(label) -> None:
+    """Refuse a label that a label list or a comma-joined set key cannot
+    carry unambiguously: anything but a nonempty string without ','."""
+    if not isinstance(label, str) or not label:
+        raise InputFormatError(f"point labels must be nonempty strings, got {label!r}")
+    if "," in label:
+        raise InputFormatError(f"point label {label!r} may not contain ','")
+
+
 class _Value:
     """Base of the immutable value classes.
 
@@ -204,12 +213,7 @@ class GroundSet(_Value):
             )
         position: dict[str, int] = {}
         for i, label in enumerate(labels):
-            if not isinstance(label, str) or not label:
-                raise InputFormatError(
-                    f"point labels must be nonempty strings, got {label!r}"
-                )
-            if "," in label:
-                raise InputFormatError(f"point label {label!r} may not contain ','")
+            _check_label(label)
             if label in position:
                 raise InputFormatError(f"duplicate point label {label!r}")
             position[label] = i

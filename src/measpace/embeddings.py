@@ -25,6 +25,7 @@ from .core import (
     MeasureSpace,
     SigmaAlgebra,
     SubsetMask,
+    _check_label,
     _ordered,
     _setattr,
     _Value,
@@ -70,23 +71,44 @@ class EmbeddingReport(_Value):
         _setattr(self, "witness", witness)
 
 
+def _trace_space(
+    big: MeasureSpace, x: SubsetMask, target: GroundSet | None = None
+) -> MeasureSpace:
+    """The trace space of ``big`` on X, labelled in ``target`` order (by
+    default, the order X inherits from the big ground).
+
+    Its algebra is ``trace_algebra(big.algebra, x, target)``.  Big atoms
+    are disjoint, so each trace atom is A & X for exactly one big atom A,
+    and it carries A's value; it need not sort where A does unless X
+    comes first.
+    """
+    algebra = trace_algebra(big.algebra, x, target)
+    ground = algebra.ground
+    value_of = {
+        transfer_mask(atom & x, ground): value
+        for atom, value in zip(big.algebra.atoms, big.atom_values)
+        if atom.bits & x.bits
+    }
+    return MeasureSpace(algebra, tuple(map(value_of.__getitem__, algebra.atoms)))
+
+
 def measure_embedding_report(small: MeasureSpace, big: MeasureSpace) -> EmbeddingReport:
     """Check the embedding and, if it fails, name a concrete counterexample.
 
-    The check is decided atom by atom: the embedding holds exactly when
-    the trace of the big algebra on X is the small algebra and every big
-    atom A has value(A) = mu(A & X).  Both measures are additive, so
-    agreement on the atoms is agreement on every measurable set.  Only a
-    failing pair is scanned set by set, in canonical order, for the
-    witness: either a big-side set whose trace is not measurable in the
-    small algebra (or whose measure disagrees with the trace measure), or
-    a small-side set that is not a trace at all.
+    The embedding holds exactly when X is thick and the trace space of
+    ``big`` on X, in the small ground's label order, equals ``small``: a
+    big atom A that misses X must weigh mu(empty) = 0, and one that meets
+    X must weigh mu(A & X), where A & X is an atom of ``small`` once the
+    traces agree.  Both measures are additive, so agreement on the atoms
+    is agreement on every measurable set.  Only a failing pair is scanned
+    set by set, in canonical order, for the witness: either a big-side
+    set whose trace is not measurable in the small algebra (or whose
+    measure disagrees with the trace measure), or a small-side set that
+    is not a trace at all.  A refusal that no set backs raises
+    :class:`InvariantError`.
     """
     x = _embedded_mask(small.ground, big.ground)
-    if check_measurable_embedding(small.algebra, big.algebra) and all(
-        value == small.measure_of(transfer_mask(atom & x, small.ground))
-        for atom, value in zip(big.algebra.atoms, big.atom_values)
-    ):
+    if big.is_thick(x) and _trace_space(big, x, small.ground) == small:
         return EmbeddingReport(True)
     traces = set()
     for c in big.algebra.sorted_sets():
@@ -101,7 +123,7 @@ def measure_embedding_report(small: MeasureSpace, big: MeasureSpace) -> Embeddin
         t = transfer_mask(c & x, small.ground)
         if big.measure_of(c) != small.measure_of(t):
             return EmbeddingReport(False, "measure-mismatch", c)
-    return EmbeddingReport(True)
+    raise InvariantError("the atom-level check refused an embedding that no set contradicts")
 
 
 def check_measure_embedding(small: MeasureSpace, big: MeasureSpace) -> bool:
@@ -157,6 +179,8 @@ class ExtensionKit(_Value):
                 raise InputFormatError(
                     f"fibers must map SubsetMasks to label strings, got {kernel!r}: {labels!r}"
                 )
+            for label in labels:
+                _check_label(label)
         _setattr(self, "base", base)
         _setattr(self, "pasted", pasted)
         _setattr(self, "dfamily", families)
@@ -166,9 +190,7 @@ class ExtensionKit(_Value):
 def identity_kit(base: MeasureSpace) -> ExtensionKit:
     """The kit whose extension is the base space itself."""
     pasted = SigmaAlgebra(GroundSet(()), ())
-    empty = pasted.ground.empty
-    dfamily = {b: frozenset({empty}) for b in base.algebra.sets()}
-    return ExtensionKit(base, pasted, dfamily, {})
+    return ExtensionKit(base, pasted, full_dfamily(base.algebra, pasted), {})
 
 
 def full_dfamily(
@@ -261,7 +283,10 @@ def validate_kit(kit: ExtensionKit) -> list[str]:
 
     # the closure conditions need a complete, measurable dfamily
     if well_typed and not _dfamily_closed(kit):
-        problems.extend(_closure_problems(kit))
+        closure = _closure_problems(kit)
+        if not closure:
+            raise InvariantError("the closure count refused a kit that no condition contradicts")
+        problems.extend(closure)
     return problems
 
 
@@ -366,20 +391,6 @@ def construct_extension(kit: ExtensionKit) -> MeasureSpace:
     return result
 
 
-class PointAssignment(_Value):
-    """Where an outside point of a decomposition lives.
-
-    ``kind`` is "pasted" (separable from X by a measurable set) or
-    "fiber" (stuck to the base atom ``kernel``).
-    """
-
-    __slots__ = __match_args__ = ("kind", "kernel")
-
-    def __init__(self, kind: str, kernel: SubsetMask | None = None):
-        _setattr(self, "kind", kind)
-        _setattr(self, "kernel", kernel)
-
-
 class DecompositionRecord(_Value):
     """Canonical split of an extension into X-part, fibers, and pasted part."""
 
@@ -389,7 +400,7 @@ class DecompositionRecord(_Value):
         self,
         z_part: SubsetMask,
         kit: ExtensionKit,
-        point_assignment: dict[str, PointAssignment],
+        point_assignment: dict[str, OutsidePointClass],
     ):
         _setattr(self, "z_part", z_part)
         _setattr(self, "kit", kit)
@@ -408,34 +419,31 @@ class DecompositionRecord(_Value):
 def _induced_base(big: MeasureSpace, x: SubsetMask) -> tuple:
     """Read an extension over X in one pass over its atoms.
 
-    Returns the trace space on X, the bits of Z (the big atoms that miss
-    X), the fibers, and the assignment of every point of Y minus X, in
-    atom order.  Big atoms are disjoint, so each trace atom is A & X for
-    exactly one big atom A and carries A's value; it need not sort where
-    A does unless X comes first.  So the trace space embeds exactly when
-    every atom that misses X is null, that is, when X is thick.  Only a
-    refusal runs the embedding report, for its reason and witness.
+    Returns the trace space on X (see ``_trace_space``), the bits of Z
+    (the big atoms that miss X), the fibers, and the class of every point
+    of Y minus X, in atom order.  The trace space takes X's own label
+    order, so its traces match by construction and it embeds exactly
+    when X is thick (see ``measure_embedding_report``).  Only a refusal
+    runs the embedding report, for its reason and witness.
     """
     if x.ground != big.ground:
         raise GroundMismatchError("x is over a different ground set")
-    small_alg = trace_algebra(big.algebra, x)
-    value_of = {}
+    small = _trace_space(big, x)
     z_bits = 0
     fibers: dict[SubsetMask, tuple[str, ...]] = {}
-    assignment: dict[str, PointAssignment] = {}
-    for atom, value in zip(big.algebra.atoms, big.atom_values):
+    assignment: dict[str, OutsidePointClass] = {}
+    pasted = OutsidePointClass("pasted")
+    for atom in big.algebra.atoms:
         inside = atom & x
         if inside:
-            kernel = transfer_mask(inside, small_alg.ground)
-            value_of[kernel] = value
             stuck = (atom - x).labels()
             if stuck:
-                fibers[kernel] = stuck
-                assignment.update(dict.fromkeys(stuck, PointAssignment("fiber", kernel)))
+                fibers[transfer_mask(inside, small.ground)] = stuck
+                sticks = OutsidePointClass("sticks_to", inside.labels())
+                assignment.update(dict.fromkeys(stuck, sticks))
         else:
             z_bits |= atom.bits
-            assignment.update(dict.fromkeys(atom.labels(), PointAssignment("pasted")))
-    small = MeasureSpace(small_alg, tuple(value_of[t] for t in small_alg.atoms))
+            assignment.update(dict.fromkeys(atom.labels(), pasted))
     if not big.is_thick(x):
         report = measure_embedding_report(small, big)
         raise PreconditionError(
@@ -479,13 +487,7 @@ def classify_outside_points(
     big: MeasureSpace, x: SubsetMask
 ) -> dict[str, OutsidePointClass]:
     """Label every point of Y minus X as pasted or sticking to base points."""
-    *_, assignment = _induced_base(big, x)
-    return {
-        label: OutsidePointClass("pasted")
-        if where.kernel is None
-        else OutsidePointClass("sticks_to", where.kernel.labels())
-        for label, where in assignment.items()
-    }
+    return _induced_base(big, x)[3]
 
 
 def enumerate_extensions(

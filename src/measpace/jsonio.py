@@ -23,7 +23,7 @@ from .errors import InputFormatError
 # only the loaders that build these types import their modules, so reading
 # a space loads none of them
 if TYPE_CHECKING:
-    from .embeddings import DecompositionRecord, ExtensionKit
+    from .embeddings import DecompositionRecord, ExtensionKit, OutsidePointClass
     from .filters import SetFamily, UltrafilterRecord
     from .products import ProductSpace
 
@@ -235,17 +235,18 @@ def kit_from_obj(raw: Any) -> ExtensionKit:
     return ExtensionKit(base, pasted, dfamily, fibers)
 
 
+def outside_points_to_obj(classes: dict[str, OutsidePointClass]) -> dict:
+    """Each outside point maps to "pasted" or to {"sticks_to": [anchors]}."""
+    return {
+        label: "pasted" if cls.kind == "pasted" else {"sticks_to": list(cls.anchors)}
+        for label, cls in classes.items()
+    }
+
+
 def decomposition_to_obj(record: DecompositionRecord) -> dict:
     obj = kit_to_obj(record.kit)
     obj["z_part"] = labels_list(record.z_part)
-    assignment = {}
-    for label in sorted(record.point_assignment):
-        pa = record.point_assignment[label]
-        if pa.kind == "pasted":
-            assignment[label] = "pasted"
-        else:
-            assignment[label] = {"sticks_to": labels_list(pa.kernel)}
-    obj["point_assignment"] = assignment
+    obj["point_assignment"] = outside_points_to_obj(record.point_assignment)
     obj["form"] = "point" if record.point_form else "ultrafilter"
     return obj
 

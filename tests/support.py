@@ -26,7 +26,6 @@ from measpace import (
     InputFormatError,
     MeasureSpace,
     OutsidePointClass,
-    PointAssignment,
     PreconditionError,
     SetFamily,
     SigmaAlgebra,
@@ -38,7 +37,6 @@ from measpace import (
     check_measurable_embedding,
     check_measure_embedding,
     mask_key,
-    measure_embedding_report,
     trace_algebra,
     transfer_mask,
 )
@@ -625,7 +623,7 @@ def induced_base_oracle(big, x):
     """The trace space on X, or an error naming the embedding report's
     reason and witness if it does not embed."""
     small = trace_space(big, x)
-    report = measure_embedding_report(small, big)
+    report = embedding_report_oracle(small, big)
     if not report.ok:
         raise PreconditionError(
             f"the trace space on X is not embedded: {report.reason}"
@@ -680,7 +678,7 @@ def decompose_extension_oracle(big, x):
         b = transfer_mask(c & x, small.ground)
         dfamily.setdefault(b, set()).add(transfer_mask(c & z_part, z_ground))
     fibers = {}
-    assignment = {label: PointAssignment("pasted") for label in z_part.labels()}
+    assignment = {label: OutsidePointClass("pasted") for label in z_part.labels()}
     for atom in big.algebra.atoms:
         inside, stuck = atom & x, atom - x
         if not inside or not stuck:
@@ -693,7 +691,7 @@ def decompose_extension_oracle(big, x):
             raise PreconditionError(f"the family of {atom!r} is not a c.i.p. ultrafilter")
         fibers[record.kernel] = stuck.labels()
         for label in stuck.labels():
-            assignment[label] = PointAssignment("fiber", record.kernel)
+            assignment[label] = OutsidePointClass("sticks_to", record.kernel.labels())
     kit = ExtensionKit(small, pasted, {b: frozenset(ds) for b, ds in dfamily.items()}, fibers)
     return DecompositionRecord(z_part=z_part, kit=kit, point_assignment=assignment)
 

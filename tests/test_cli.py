@@ -199,6 +199,21 @@ def test_error_objects(capsys, tmp_path):
         assert code == 2
         assert err == {"code": "bad-input", "message": message, "path": str(path)}
 
+    # a fiber label that no ground set can hold is refused on load, by both
+    # kit verbs, with the kit's path
+    kit = json.loads(Path(fx("kit_fiber.json")).read_text())
+    for label, message in (
+        ("", "point labels must be nonempty strings, got ''"),
+        ("p,q", "point label 'p,q' may not contain ','"),
+    ):
+        path = tmp_path / "kit_label.json"
+        path.write_text(json.dumps({**kit, "fibers": {"a": [label]}}))
+        for verb in ("validate-kit", "construct"):
+            code = run([verb, "--kit", str(path)])
+            err = json.loads(capsys.readouterr().out)["error"]
+            assert code == 2
+            assert err == {"code": "bad-input", "message": message, "path": str(path)}
+
     # numbers too long to parse, build or print: a JSON integer past the
     # interpreter's 4300-digit conversion cap, exponents past that cap,
     # and a product of two 3000-digit values

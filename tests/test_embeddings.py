@@ -33,7 +33,7 @@ from measpace import (
     transfer_mask,
     validate_kit,
 )
-from measpace import embeddings
+from measpace import embeddings, jsonio
 
 from support import (
     G,
@@ -265,6 +265,8 @@ def test_kit_refuses_a_dfamily_or_fibers_of_the_wrong_type():
         (good, {atom: (1,)}),
         (good, {atom: {"p", "q"}}),
         (good, {"a": ("p",)}),
+        (good, {atom: ("",)}),
+        (good, {atom: ("p,q",)}),
     ):
         with pytest.raises(InputFormatError):
             ExtensionKit(base, pasted, dfamily, fibers)
@@ -287,6 +289,20 @@ def test_construct_checks_its_result_without_assert(monkeypatch):
     monkeypatch.setattr(embeddings, "measure_embedding_report", lambda small, big: failing)
     with pytest.raises(InvariantError, match="measure-mismatch at {a}"):
         construct_extension(identity_kit(base))
+
+
+def test_a_fast_refusal_without_a_witness_raises(monkeypatch):
+    # a refusal by the atom-level check or the closure count that the
+    # set-by-set scans cannot back is a library fault, not an answer
+    base = one_point_base()
+    kit = identity_kit(base)
+    monkeypatch.setattr(embeddings, "_dfamily_closed", lambda kit: False)
+    with pytest.raises(InvariantError, match="no condition contradicts"):
+        validate_kit(kit)
+
+    monkeypatch.setattr(embeddings, "_trace_space", lambda big, x, target=None: None)
+    with pytest.raises(InvariantError, match="no set contradicts"):
+        measure_embedding_report(base, base)
 
 
 # ------------------------------------------------------------- decomposition
@@ -592,9 +608,13 @@ def test_measure_embedding_report_matches_oracle():
         candidates.append(
             MeasureSpace(random_alg, tuple(rng.choice(values) for _ in blocks))
         )
-        for big in candidates:
-            report = measure_embedding_report(base, big)
-            assert report == embedding_report_oracle(base, big)
+        # the reversed copies put X last, and list the base points the
+        # other way round from the big ground
+        candidates.append(_relabelled(ext, GroundSet(ext.ground.labels[::-1])))
+        reversed_base = _relabelled(base, GroundSet(base.ground.labels[::-1]))
+        for small, big in iproduct((base, reversed_base), candidates):
+            report = measure_embedding_report(small, big)
+            assert report == embedding_report_oracle(small, big)
             outcomes.add(report.reason)
     assert outcomes == {None, "trace-mismatch", "measure-mismatch"}
 
@@ -625,6 +645,16 @@ def test_classify_outside_points_matches_oracle():
     assert seen == 2 * 221
 
 
+def test_classify_and_decompose_serialize_outside_points_alike():
+    seen = 0
+    for ext, x in _extensions_both_ways_up_to(5):
+        classes = jsonio.outside_points_to_obj(classify_outside_points(ext, x))
+        record = jsonio.decomposition_to_obj(decompose_extension(ext, x))
+        assert classes == record["point_assignment"]
+        seen += 1
+    assert seen == 2 * 221
+
+
 def _spaces_and_subsets_up_to(n_points):
     """(space, X) for every space on at most ``n_points`` points with atom
     values in {0, 1, inf}, and every subset X of its ground."""
@@ -641,7 +671,7 @@ def test_thick_iff_the_trace_space_embeds():
     # the one-pass reading decides the embedding by thickness alone
     thick = thin = 0
     for ms, x in _spaces_and_subsets_up_to(4):
-        embeds = check_measure_embedding(trace_space(ms, x), ms)
+        embeds = embedding_report_oracle(trace_space(ms, x), ms).ok
         assert ms.is_thick(x) == embeds
         thick += embeds
         thin += not embeds

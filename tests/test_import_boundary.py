@@ -34,8 +34,7 @@ PINNED_ALL = [
     "INFINITY", "ONE", "ZERO", "ExtReal", "GroundSet", "MeasureSpace",
     "SigmaAlgebra", "SubsetMask", "all_sigma_algebras", "generate_sigma_algebra",
     "mask_key", "trace_algebra", "transfer_mask", "DecompositionRecord",
-    "EmbeddingReport", "ExtensionKit", "OutsidePointClass", "PointAssignment",
-    "auto_fibers", "check_measurable_embedding", "check_measure_embedding",
+    "EmbeddingReport", "ExtensionKit", "OutsidePointClass", "auto_fibers", "check_measurable_embedding", "check_measure_embedding",
     "classify_outside_points", "construct_extension", "decompose_extension",
     "enumerate_extensions", "full_dfamily", "identity_kit",
     "measure_embedding_report", "validate_kit", "GroundMismatchError",
@@ -79,6 +78,10 @@ VERB_CASES = [
     (["check-embed", "--small", fx("small_x.json"), "--big", fx("big_y.json")], {EMBEDDINGS},
      {FILTERS, PRODUCTS}),
     (["validate-kit", "--kit", fx("kit_identity.json")], {EMBEDDINGS}, {FILTERS, PRODUCTS}),
+    (["decompose", "--big", fx("big_split.json"), "--set", '["a"]'], {EMBEDDINGS},
+     {FILTERS, PRODUCTS}),
+    (["classify-points", "--big", fx("big_split.json"), "--set", '["a"]'], {EMBEDDINGS},
+     {FILTERS, PRODUCTS}),
     (["enumerate-extensions", "--space", fx("small_x.json"), "--extra", "p,q"], {EMBEDDINGS},
      {FILTERS, PRODUCTS}),
     (["ultrafilters", "--space", fx("space1.json")], {FILTERS}, {EMBEDDINGS, PRODUCTS}),

@@ -16,7 +16,6 @@ from measpace import (
     GroundSet,
     MeasureSpace,
     OutsidePointClass,
-    PointAssignment,
     ProductSpace,
     SetFamily,
     SigmaAlgebra,
@@ -44,7 +43,6 @@ def _samples():
         MeasureSpace: ms,
         EmbeddingReport: EmbeddingReport(False, "trace-mismatch", g.mask(["b"])),
         ExtensionKit: identity_kit(ms),
-        PointAssignment: PointAssignment("fiber", g.mask(["a"])),
         DecompositionRecord: decompose_extension(big, big.ground.mask(["a"])),
         OutsidePointClass: OutsidePointClass("sticks_to", ("a",)),
         SetFamily: SetFamily(ms.algebra, {g.full}),
@@ -100,7 +98,6 @@ def test_keyword_construction_rebuilds_an_equal_value(value):
 
 def test_keyword_construction_with_defaults():
     assert fields(EmbeddingReport(ok=True)) == (True, None, None)
-    assert fields(PointAssignment(kind="pasted")) == ("pasted", None)
     assert fields(OutsidePointClass(kind="pasted")) == ("pasted", ())
 
 
@@ -120,7 +117,10 @@ def test_values_of_different_classes_never_compare_equal():
     for a, b in combinations(VALUES, 2):
         assert a != b and not a == b
     # same field values, different classes
-    assert PointAssignment("pasted", None) != OutsidePointClass("pasted", None)
+    class Twin(OutsidePointClass):
+        __slots__ = ()
+
+    assert Twin("pasted") != OutsidePointClass("pasted")
     assert SAMPLES[GroundSet] != SAMPLES[GroundSet].labels
     assert SAMPLES[SubsetMask] != (SAMPLES[GroundSet], SAMPLES[SubsetMask].bits)
 
@@ -137,7 +137,9 @@ def test_equality_ignores_derived_slots():
 def test_default_repr_names_every_field():
     g = G("a")
     assert repr(EmbeddingReport(ok=True)) == "EmbeddingReport(ok=True, reason=None, witness=None)"
-    assert repr(PointAssignment("fiber", g.full)) == "PointAssignment(kind='fiber', kernel={a})"
+    assert repr(OutsidePointClass("sticks_to", g.labels)) == (
+        "OutsidePointClass(kind='sticks_to', anchors=('a',))"
+    )
     assert repr(ExtReal(None)) == "ExtReal(inf)"
 
 
