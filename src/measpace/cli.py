@@ -197,8 +197,9 @@ def _cmd_decompose(args):
 def _cmd_construct(args):
     from .embeddings import construct_extension
 
-    kit = _load(args.kit, jsonio.kit_from_obj)
-    return 0, jsonio.space_to_obj(construct_extension(kit))
+    # a kit that loads but builds nothing is still the file's fault
+    big = _load(args.kit, lambda raw: construct_extension(jsonio.kit_from_obj(raw)))
+    return 0, jsonio.space_to_obj(big)
 
 
 def _cmd_validate_kit(args):
@@ -314,10 +315,16 @@ _FLAG_HELP = {
 }
 
 
-def _parser() -> _Parser:
+def _parser(argv: list[str]) -> _Parser:
+    """The parser for ``argv``: when it starts with a known verb, with that
+    verb's subparser only; otherwise (an unknown verb, no verb, ``-h``)
+    with all of them, so usage, help and the invalid-choice message list
+    every verb."""
     parser = _Parser(prog="measpace", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb, (_, flags) in _VERBS.items():
+    verbs = argv[:1] if argv and argv[0] in _VERBS else _VERBS
+    for verb in verbs:
+        flags = _VERBS[verb][1]
         p = sub.add_parser(verb)
         for flag in flags:
             required = flag != "extra"
@@ -340,7 +347,7 @@ def _emit(payload: dict, out: str | None) -> None:
 def run(argv: list[str]) -> int:
     """Execute one verb; returns the process exit code."""
     try:
-        args = _parser().parse_args(argv)
+        args = _parser(argv).parse_args(argv)
         handler, _ = _VERBS[args.verb]
         code, payload = handler(args)
         _emit(payload, args.out)

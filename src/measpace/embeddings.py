@@ -30,7 +30,6 @@ from .core import (
     _setattr,
     _Value,
     bits_key,
-    generate_sigma_algebra,
     generated_atom_bits,
     mask_key,
     trace_algebra,
@@ -219,19 +218,82 @@ def auto_fibers(sizes: Mapping[SubsetMask, int]) -> dict[SubsetMask, tuple[str, 
 def validate_kit(kit: ExtensionKit) -> list[str]:
     """Return the list of violated kit invariants (empty = valid).
 
-    The three closure conditions (the empty set in D_empty, complements,
-    unions of selections) are decided by one count.  Put the pasted
-    points after X and let G = {B + D : D in D_B}.  G lies inside the
-    algebra it generates, which has 2**blocks sets, where blocks counts
-    the classes of points of X + Z that no member of G separates.  So G
-    is closed, which is exactly the three conditions, iff |G| = 2**blocks.
-    Only a kit that fails the count is scanned condition by condition, to
-    name every violation.  That scan checks the union condition for pairs
-    only: a finite selection D_1, ..., D_n folds to pairwise unions
-    ((D_1 | D_2) | D_3 ...), so pairwise closure over all B_1, B_2
-    already gives the finite case.  The test suite re-checks selections
-    of length three directly.
+    A valid kit is recognised on raw bits, without building a mask or
+    sorting anything: the labels are pairwise distinct, every fiber is a
+    nonempty fiber on a base atom, the dfamily keys are exactly the
+    measurable base sets, and every family is a nonempty set of
+    measurable pasted sets (see ``_well_formed``).  The three closure
+    conditions (the empty set in D_empty, complements, unions of
+    selections) are then decided by one count.  Put the pasted points
+    after X and let G = {B + D : D in D_B}.  G lies inside the algebra it
+    generates, which has 2**blocks sets, where blocks counts the classes
+    of points of X + Z that no member of G separates.  So G is closed,
+    which is exactly the three conditions, iff |G| = 2**blocks.
+
+    Only a refused kit is listed condition by condition, in canonical
+    order, to name every violation.  That listing checks the union
+    condition for pairs only: a finite selection D_1, ..., D_n folds to
+    pairwise unions ((D_1 | D_2) | D_3 ...), so pairwise closure over all
+    B_1, B_2 already gives the finite case.  The test suite re-checks
+    selections of length three directly.  A refusal that the listing
+    cannot back raises :class:`InvariantError`.
     """
+    if _well_formed(kit):
+        if _dfamily_closed(kit):
+            return []
+        problems = _closure_problems(kit)
+    else:
+        problems = _listed_problems(kit)
+    if not problems:
+        raise InvariantError("the raw-bit checks refused a kit that no condition contradicts")
+    return problems
+
+
+def _unions(atoms: Iterable[SubsetMask]) -> set[int]:
+    """The raw bits of every union of the given atoms."""
+    unions = [0]
+    for atom in atoms:
+        bits = atom.bits
+        unions += [u | bits for u in unions]
+    return set(unions)
+
+
+def _well_formed(kit: ExtensionKit) -> bool:
+    """True iff ``_listed_problems`` names no label, fiber, key or member.
+
+    Base and pasted labels are distinct within their grounds, so the
+    labels are free of collisions and repeats iff all of them together
+    are distinct.  Keys over the base ground are distinct exactly when
+    their bits are, so the keys are the measurable base sets iff they all
+    lie over that ground and their bits are the unions of base atoms.
+    Each distinct pasted member is checked once.
+    """
+    base_alg, pasted = kit.base.algebra, kit.pasted
+    labels = [*base_alg.ground.labels, *pasted.ground.labels]
+    for fiber in kit.fibers.values():
+        labels += fiber
+    if len(set(labels)) != len(labels):
+        return False
+    atoms = set(base_alg.atoms)
+    if not all(fiber and kernel in atoms for kernel, fiber in kit.fibers.items()):
+        return False
+
+    x = base_alg.ground
+    keys = {b.bits for b in kit.dfamily if b.ground is x or b.ground == x}
+    if len(keys) != len(kit.dfamily) or keys != _unions(base_alg.atoms):
+        return False
+    families = kit.dfamily.values()
+    if not all(families):
+        return False
+    z, measurable = pasted.ground, _unions(pasted.atoms)
+    return all(
+        (d.ground is z or d.ground == z) and d.bits in measurable
+        for d in set().union(*families)
+    )
+
+
+def _listed_problems(kit: ExtensionKit) -> list[str]:
+    """Every violated invariant, fibers and base sets in mask_key order."""
     problems: list[str] = []
     base_alg = kit.base.algebra
 
@@ -283,10 +345,7 @@ def validate_kit(kit: ExtensionKit) -> list[str]:
 
     # the closure conditions need a complete, measurable dfamily
     if well_typed and not _dfamily_closed(kit):
-        closure = _closure_problems(kit)
-        if not closure:
-            raise InvariantError("the closure count refused a kit that no condition contradicts")
-        problems.extend(closure)
+        problems.extend(_closure_problems(kit))
     return problems
 
 
@@ -338,8 +397,10 @@ def construct_extension(kit: ExtensionKit) -> MeasureSpace:
     lexicographic order (a canonical choice, so reconstruction from a
     decomposed kit is reproducible).  Measurable sets are exactly
     B + (fibers of atoms inside B) + D with D in D_B, and such a set gets
-    the base value of B.  The result is checked to be closed and to embed
-    the base; a failure raises :class:`InvariantError`.
+    the base value of B.  The family is built on raw bits; each atom of
+    its algebra meets X in nothing or in one base atom, whose value it
+    carries.  The result is checked to be closed and to embed the base; a
+    failure raises :class:`InvariantError`.
     """
     problems = validate_kit(kit)
     if problems:
@@ -356,31 +417,36 @@ def construct_extension(kit: ExtensionKit) -> MeasureSpace:
             f"extension would have {len(all_labels)} points; the cap is {MAX_POINTS}"
         )
     ground = GroundSet(all_labels)
-    x = ground.mask(base.ground.labels)
 
-    fiber_bits: dict[SubsetMask, int] = {}
-    for kernel, labels in kit.fibers.items():
-        fiber_bits[kernel] = ground.mask(labels).bits
-
-    # the base points come first in the ground, so base bits carry over
+    # the base points come first in the ground, so base bits carry over;
+    # each pasted set moves onto the ground once, as the union of the
+    # images of its atoms
+    fibers = [(kernel.bits, ground.mask(labels).bits) for kernel, labels in kit.fibers.items()]
+    moved = {0: 0}
+    for atom in kit.pasted.atoms:
+        a, image = atom.bits, ground.mask(atom.labels()).bits
+        moved.update({z | a: m | image for z, m in moved.items()})
     family: set[int] = set()
-    for b in base.algebra.sets():
+    for b, ds in kit.dfamily.items():
         bits = b.bits
-        for kernel, fb in fiber_bits.items():
-            if kernel.issubset(b):
-                bits |= fb
-        for d in kit.dfamily[b]:
-            family.add(bits | transfer_mask(d, ground).bits)
+        carried = bits | sum(fb for kernel, fb in fibers if kernel & ~bits == 0)
+        family.update([carried | moved[d.bits] for d in ds])
 
-    algebra = generate_sigma_algebra(ground, (SubsetMask(ground, bits) for bits in family))
-    if len(family) != algebra.n_sets:
+    atoms = generated_atom_bits(ground.size, family)
+    if len(family) != 1 << len(atoms):
         raise InvariantError(
-            f"the kit generates {len(family)} sets, but their algebra has {algebra.n_sets}"
+            f"the kit generates {len(family)} sets, but their algebra has {1 << len(atoms)}"
         )
+    algebra = SigmaAlgebra(ground, tuple(SubsetMask(ground, bits) for bits in atoms))
 
-    values = tuple(
-        base.measure_of(transfer_mask(atom & x, base.ground)) for atom in algebra.atoms
-    )
+    # a big atom meets X in nothing (a pasted atom, null) or in one base atom
+    x_bits = (1 << base.ground.size) - 1
+    value_of = {atom.bits: value for atom, value in zip(base.algebra.atoms, base.atom_values)}
+    value_of[0] = ZERO
+    traces = [atom.bits & x_bits for atom in algebra.atoms]
+    if not all(trace in value_of for trace in traces):
+        raise InvariantError("a constructed atom meets X in more than one base atom")
+    values = tuple(map(value_of.__getitem__, traces))
     result = MeasureSpace(algebra, values)
     report = measure_embedding_report(base, result)
     if not report.ok:

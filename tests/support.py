@@ -24,6 +24,8 @@ from measpace import (
     GroundMismatchError,
     GroundSet,
     InputFormatError,
+    InvalidKitError,
+    InvariantError,
     MeasureSpace,
     OutsidePointClass,
     PreconditionError,
@@ -36,10 +38,12 @@ from measpace import (
     auto_fibers,
     check_measurable_embedding,
     check_measure_embedding,
+    generate_sigma_algebra,
     mask_key,
     trace_algebra,
     transfer_mask,
 )
+from measpace.core import MAX_POINTS
 from measpace.embeddings import ENUMERATION_CAP
 from measpace.partitions import set_partitions
 
@@ -342,6 +346,58 @@ def validate_kit_oracle(kit: ExtensionKit) -> list[str]:
                                 f"{_fmt(b2)} is missing from the family of {_fmt(b1 | b2)}"
                             )
     return problems
+
+
+def construct_extension_oracle(kit: ExtensionKit) -> MeasureSpace:
+    """The extension a kit generates, by direct definition: every
+    measurable base set B contributes B + (fibers of atoms inside B) + D
+    for each D in D_B, each pasted set is moved onto the extension ground
+    label by label, and every atom weighs the base measure of its trace
+    on X.
+    """
+    problems = validate_kit_oracle(kit)
+    if problems:
+        raise InvalidKitError(problems)
+
+    base = kit.base
+    outside = sorted(
+        [label for labels in kit.fibers.values() for label in labels]
+        + list(kit.pasted.ground.labels)
+    )
+    all_labels = tuple(base.ground.labels) + tuple(outside)
+    if len(all_labels) > MAX_POINTS:
+        raise SizeCapError(
+            f"extension would have {len(all_labels)} points; the cap is {MAX_POINTS}"
+        )
+    ground = GroundSet(all_labels)
+    x = ground.mask(base.ground.labels)
+
+    fiber_bits = {kernel: ground.mask(labels).bits for kernel, labels in kit.fibers.items()}
+    family: set[int] = set()
+    for b in base.algebra.sets():
+        bits = b.bits
+        for kernel, fb in fiber_bits.items():
+            if kernel.issubset(b):
+                bits |= fb
+        for d in kit.dfamily[b]:
+            family.add(bits | transfer_mask(d, ground).bits)
+
+    algebra = generate_sigma_algebra(ground, (SubsetMask(ground, bits) for bits in family))
+    if len(family) != algebra.n_sets:
+        raise InvariantError(
+            f"the kit generates {len(family)} sets, but their algebra has {algebra.n_sets}"
+        )
+    values = tuple(
+        base.measure_of(transfer_mask(atom & x, base.ground)) for atom in algebra.atoms
+    )
+    result = MeasureSpace(algebra, values)
+    report = embedding_report_oracle(base, result)
+    if not report.ok:
+        raise InvariantError(
+            f"the constructed space does not embed the base: {report.reason}"
+            f" at {report.witness!r}"
+        )
+    return result
 
 
 def embedding_report_oracle(small: MeasureSpace, big: MeasureSpace) -> EmbeddingReport:

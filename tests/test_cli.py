@@ -298,10 +298,121 @@ def test_mutated_fixtures_keep_the_error_contract(data):
         assert sorted(payload["error"]) == ["code", "message", "path"]
 
 
-def test_invalid_kit_is_input_error_for_construct(capsys):
+def test_invalid_kit_is_input_error_for_construct(capsys, tmp_path):
     code = run(["construct", "--kit", fx("kit_bad.json")])
     err = json.loads(capsys.readouterr().out)["error"]
     assert code == 2 and err["code"] == "invalid-kit"
+    assert err["path"] == fx("kit_bad.json")
+
+    # a valid kit whose extension would have 17 points
+    pasted = [f"z{i}" for i in range(16)]
+    kit = tmp_path / "kit17.json"
+    kit.write_text(json.dumps({
+        "base": {"points": ["a"], "atoms": [["a"]], "values": ["1"]},
+        "pasted": {"points": pasted, "atoms": [pasted]},
+        "dfamily": {"": [[], pasted], "a": [[], pasted]},
+        "fibers": {},
+    }))
+    assert run(["validate-kit", "--kit", str(kit)]) == 0
+    capsys.readouterr()
+    code = run(["construct", "--kit", str(kit)])
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert code == 2 and err["code"] == "size-cap"
+    assert err["path"] == str(kit)
+
+
+# The parser builds only the subparser of a known verb; these texts were
+# produced with all 21 subparsers built, and must not change.
+REQUIRED_FLAGS = {
+    "generate": "--space",
+    "atoms": "--space",
+    "measure": "--space, --set",
+    "inner": "--space, --set",
+    "outer": "--space, --set",
+    "thick": "--space, --set",
+    "ultrafilters": "--space",
+    "classify-family": "--space",
+    "extend-uf": "--space",
+    "uf-to-measure": "--space",
+    "measure-to-uf": "--space",
+    "check-embed": "--small, --big",
+    "decompose": "--big, --set",
+    "construct": "--kit",
+    "validate-kit": "--kit",
+    "enumerate-extensions": "--space",
+    "classify-points": "--big, --set",
+    "product": "--small, --big",
+    "section": "--space, --set, --point",
+    "lift-uf": "--space, --big, --point",
+    "project-uf": "--space",
+}
+VERB_LIST = (
+    "generate,atoms,measure,inner,outer,thick,ultrafilters,classify-family,extend-uf,"
+    "uf-to-measure,measure-to-uf,check-embed,decompose,construct,validate-kit,"
+    "enumerate-extensions,classify-points,product,section,lift-uf,project-uf"
+)
+TOP_HELP = f"""usage: measpace [-h]
+                {{{VERB_LIST}}}
+                ...
+
+Command-line surface: every library operation over JSON files. Exit codes: 0
+success (or a check that came back true), 1 a check that came back false, 2
+malformed input or violated precondition. Output is always canonical JSON on
+stdout (or ``--out``); errors are emitted as {{"error": {{"code", "message",
+"path"}}}}. Each handler imports the filters, embeddings and products functions
+it calls, so a call loads only the modules its verb uses.
+
+positional arguments:
+  {{{VERB_LIST}}}
+
+options:
+  -h, --help            show this help message and exit
+"""
+ATOMS_HELP = """usage: measpace atoms [-h] --space SPACE [--out OUT]
+
+options:
+  -h, --help     show this help message and exit
+  --space SPACE  path to the verb's primary JSON input ('-' for stdin)
+  --out OUT      write output to this path instead of stdout
+"""
+
+
+def _error_message(argv, capsys):
+    assert run(argv) == 2
+    return json.loads(capsys.readouterr().out)["error"]["message"]
+
+
+def test_parser_error_messages_are_unchanged(capsys):
+    from measpace.cli import _VERBS
+
+    assert set(REQUIRED_FLAGS) == set(_VERBS)
+    for verb, flags in REQUIRED_FLAGS.items():
+        message = _error_message([verb], capsys)
+        assert message == f"the following arguments are required: {flags}"
+    quoted = ", ".join(f"'{verb}'" for verb in VERB_LIST.split(","))
+    assert _error_message(["nope"], capsys) == (
+        f"argument verb: invalid choice: 'nope' (choose from {quoted})"
+    )
+    assert _error_message([], capsys) == "the following arguments are required: verb"
+
+
+def _help(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        parse(argv)
+    assert exit_.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_help_is_unchanged(capsys, monkeypatch):
+    from measpace.cli import _VERBS, _parser
+
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _help(run, ["-h"], capsys) == TOP_HELP
+    assert _help(run, ["atoms", "-h"], capsys) == ATOMS_HELP
+    # every verb's help from its own subparser matches the full parser's
+    full = _parser([])
+    for verb in _VERBS:
+        assert _help(run, [verb, "-h"], capsys) == _help(full.parse_args, [verb, "-h"], capsys)
 
 
 def test_module_entry_point_subprocess():

@@ -40,6 +40,7 @@ from support import (
     alg,
     check_thickness_equivalence,
     classify_outside_points_oracle,
+    construct_extension_oracle,
     count_extensions_oracle,
     decompose_extension_oracle,
     embedding_report_oracle,
@@ -161,6 +162,11 @@ def test_validate_kit_more_violations():
         {base.ground.empty: ("p",)},
     )
     assert any("not an atom" in p for p in validate_kit(not_atom))
+
+    empty_fiber = ExtensionKit(
+        base, pasted, full_dfamily(base.algebra, pasted), {base.algebra.atoms[0]: ()}
+    )
+    assert validate_kit(empty_fiber) == validate_kit_oracle(empty_fiber) == ["fiber {a} is empty"]
 
 
 def test_pairwise_condition3_detected():
@@ -284,6 +290,13 @@ def test_construct_checks_its_result_without_assert(monkeypatch):
     monkeypatch.setattr(embeddings, "validate_kit", lambda kit: [])
     with pytest.raises(InvariantError, match="generates 2 sets"):
         construct_extension(unclosed)
+
+    # closed, but one atom spans both base atoms
+    two = space(G("a", "b"), (["a"], ["b"]), (1, 1))
+    empty = SigmaAlgebra(GroundSet(()), ())
+    coarse = {s: frozenset({empty.ground.empty}) for s in (two.ground.empty, two.ground.full)}
+    with pytest.raises(InvariantError, match="more than one base atom"):
+        construct_extension(ExtensionKit(two, empty, coarse, {}))
 
     failing = embeddings.EmbeddingReport(False, "measure-mismatch", base.ground.full)
     monkeypatch.setattr(embeddings, "measure_embedding_report", lambda small, big: failing)
@@ -561,9 +574,35 @@ def _extensions_up_to(n_points):
                     yield base, ext
 
 
+def _foreign(kit):
+    """Every kit that differs from ``kit`` by one dfamily key, or by the
+    least member of one D_B, carrying the same bits over a ground other
+    than its own: the reversed base or pasted ground, or the pasted
+    ground for a key and the base ground for a member."""
+    x, z = kit.base.ground, kit.pasted.ground
+    key_grounds = [g for g in (GroundSet(x.labels[::-1]), z) if g != x]
+    member_grounds = [g for g in (GroundSet(z.labels[::-1]), x) if g != z]
+    for b in sorted(kit.dfamily, key=mask_key):
+        ds = kit.dfamily[b]
+        for g in key_grounds:
+            if b.bits < 1 << g.size:
+                rest = {c: es for c, es in kit.dfamily.items() if c != b}
+                yield ExtensionKit(
+                    kit.base, kit.pasted, {**rest, SubsetMask(g, b.bits): ds}, kit.fibers
+                )
+        d = min(ds, key=mask_key)
+        for g in member_grounds:
+            if d.bits < 1 << g.size:
+                changed = ds - {d} | {SubsetMask(g, d.bits)}
+                yield ExtensionKit(
+                    kit.base, kit.pasted, {**kit.dfamily, b: changed}, kit.fibers
+                )
+
+
 def test_validate_kit_matches_oracle_on_criterion_4_kits():
-    # every criterion-4 kit, and every single-set mutation of the valid ones
-    valid = invalid = 0
+    # every criterion-4 kit, and every single-set mutation of the valid
+    # ones, with a set moved onto a foreign ground among them
+    valid = invalid = foreign = 0
     for kit in small_kits():
         problems = validate_kit(kit)
         assert problems == validate_kit_oracle(kit)
@@ -573,13 +612,18 @@ def test_validate_kit_matches_oracle_on_criterion_4_kits():
         valid += 1
         for mutant in _toggled(kit):
             assert validate_kit(mutant) == validate_kit_oracle(mutant)
-    assert valid > 100 and invalid > 100
+        for mutant in _foreign(kit):
+            problems = validate_kit(mutant)
+            assert problems and problems == validate_kit_oracle(mutant)
+            foreign += 1
+    assert valid > 100 and invalid > 100 and foreign > 1000
 
 
 def test_validate_kit_matches_oracle_on_decomposed_kits():
     # canonical kits of extensions up to 5 points carry pasted parts of up
-    # to 4 points; they are valid, and their single-set mutations mostly not
-    broken = 0
+    # to 4 points; they are valid, and their single-set mutations mostly
+    # not, and never when a set lies over a foreign ground
+    broken = foreign = 0
     for base, ext in _extensions_up_to(5):
         kit = decompose_extension(ext, ext.ground.mask(base.ground.labels)).kit
         assert validate_kit(kit) == validate_kit_oracle(kit) == []
@@ -587,7 +631,87 @@ def test_validate_kit_matches_oracle_on_decomposed_kits():
             problems = validate_kit(mutant)
             assert problems == validate_kit_oracle(mutant)
             broken += bool(problems)
-    assert broken > 1000
+        for mutant in _foreign(kit):
+            problems = validate_kit(mutant)
+            assert problems and problems == validate_kit_oracle(mutant)
+            foreign += 1
+    assert broken > 1000 and foreign > 1000
+
+
+def _built(construct, kit):
+    """The space ``construct`` builds from ``kit``, or the type and message
+    of its refusal."""
+    try:
+        return construct(kit)
+    except InvalidKitError as exc:
+        return type(exc), str(exc)
+
+
+def test_construct_extension_matches_oracle():
+    # every criterion-4 kit (refused ones too), and the canonical kit of
+    # every extension up to 5 points, which rebuilds that extension
+    built = 0
+    for kit in small_kits():
+        got = _built(construct_extension, kit)
+        assert got == _built(construct_extension_oracle, kit)
+        built += isinstance(got, MeasureSpace)
+    assert built > 100
+    seen = 0
+    for base, ext in _extensions_up_to(5):
+        kit = decompose_extension(ext, ext.ground.mask(base.ground.labels)).kit
+        assert construct_extension(kit) == construct_extension_oracle(kit) == ext
+        for mutant in _foreign(kit):
+            got = _built(construct_extension, mutant)
+            assert got[0] is InvalidKitError
+            assert got == _built(construct_extension_oracle, mutant)
+        seen += 1
+    assert seen == 221
+
+
+def _six_atom_kit():
+    """A valid kit on a 6-atom base with one fiber and two pasted points."""
+    ground = GroundSet(tuple("abcdefg"))
+    base = space(ground, (["a", "g"], ["b"], ["c"], ["d"], ["e"], ["f"]), (1, 0, 2, 1, "inf", 3))
+    zg = GroundSet(("z", "w"))
+    pasted = SigmaAlgebra(zg, (zg.singleton("z"), zg.singleton("w")))
+    kit = ExtensionKit(
+        base, pasted, full_dfamily(base.algebra, pasted), {base.algebra.atoms[2]: ("p",)}
+    )
+    assert len(base.algebra.atoms) == 6 and validate_kit_oracle(kit) == []
+    return kit
+
+
+def test_validate_kit_builds_no_mask_and_sorts_nothing_on_a_valid_kit(monkeypatch):
+    # the kit as built in memory shares one family; read from JSON, every
+    # family and member is its own object
+    kits = [_six_atom_kit(), jsonio.kit_from_obj(jsonio.kit_to_obj(_six_atom_kit()))]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called on the success path")
+
+    monkeypatch.setattr(SubsetMask, "__init__", refuse)
+    monkeypatch.setattr(embeddings, "sorted", refuse, raising=False)
+    for kit in kits:
+        assert validate_kit(kit) == []
+
+
+def test_construct_extension_measures_no_set_and_moves_no_pair(monkeypatch):
+    kit = _six_atom_kit()
+    expected = construct_extension_oracle(kit)
+    moves = []
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called by construct_extension")
+
+    def counted(mask, target):
+        moves.append(mask)
+        return transfer_mask(mask, target)
+
+    monkeypatch.setattr(MeasureSpace, "measure_of", refuse)
+    monkeypatch.setattr(embeddings, "transfer_mask", counted)
+    assert construct_extension(kit) == expected
+    # only the closing embedding check moves sets: one per atom
+    assert len(moves) <= len(expected.algebra.atoms)
 
 
 def test_measure_embedding_report_matches_oracle():
