@@ -16,7 +16,6 @@ extension of a base space by finitely many fresh points from the kits.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from functools import partial
 
 from .core import (
     MAX_POINTS,
@@ -357,36 +356,90 @@ def _dfamily_closed(kit: ExtensionKit) -> bool:
     return len(generated) == 1 << len(blocks)
 
 
+def _names(ground: GroundSet):
+    """``repr`` of a mask over ``ground`` from its raw bits, each formatted once."""
+    names: dict[int, str] = {}
+
+    def name(bits: int) -> str:
+        if bits not in names:
+            names[bits] = repr(SubsetMask(ground, bits))
+        return names[bits]
+
+    return name
+
+
 def _closure_problems(kit: ExtensionKit) -> list[str]:
-    """One message per violated closure condition, base sets in mask_key order."""
+    """One message per violated closure condition, base sets in mask_key order.
+
+    The keys are exactly the unions of base atoms.  Equal families are
+    shared, so each is sorted once and the unions of selections from two
+    families are formed once.  A pair B1, B2 can break the union
+    condition only under T = B1 | B2, and only if D_T misses some union
+    of two families; just those T have their pairs enumerated over the
+    atoms, and only the failing pairs are sorted into canonical order.
+    """
     base_ground, z_ground = kit.base.ground, kit.pasted.ground
     x_full = (1 << base_ground.size) - 1
     z_full = (1 << z_ground.size) - 1
-    family = {b.bits: {d.bits for d in ds} for b, ds in kit.dfamily.items()}
-    ordered = {b: sorted(ds, key=bits_key) for b, ds in family.items()}
+    shared: dict[frozenset[int], frozenset[int]] = {}
+    family = {}
+    for b, ds in kit.dfamily.items():
+        members = frozenset(d.bits for d in ds)
+        family[b.bits] = shared.setdefault(members, members)
+    ordered = {ds: sorted(ds, key=bits_key) for ds in shared}
     keys = sorted(family, key=bits_key)
-    fb, fz = partial(SubsetMask, base_ground), partial(SubsetMask, z_ground)
+    fb, fz = _names(base_ground), _names(z_ground)
     problems: list[str] = []
     if 0 not in family[0]:
         problems.append("the empty pasted set is missing from the family of the empty base set")
     for b in keys:
         comp = b ^ x_full
-        for d in ordered[b]:
+        for d in ordered[family[b]]:
             if d ^ z_full not in family[comp]:
                 problems.append(
-                    f"complement {fz(d ^ z_full)!r} of {fz(d)!r} in the family of "
-                    f"{fb(b)!r} is missing from the family of {fb(comp)!r}"
+                    f"complement {fz(d ^ z_full)} of {fz(d)} in the family of "
+                    f"{fb(b)} is missing from the family of {fb(comp)}"
                 )
-    for b1 in keys:
-        for b2 in keys:
-            target = family[b1 | b2]
-            for d1 in ordered[b1]:
-                for d2 in ordered[b2]:
-                    if d1 | d2 not in target:
-                        problems.append(
-                            f"union {fz(d1 | d2)!r} of selections from {fb(b1)!r} and "
-                            f"{fb(b2)!r} is missing from the family of {fb(b1 | b2)!r}"
-                        )
+
+    members = frozenset().union(*shared)
+    every_union = {d1 | d2 for d1 in members for d2 in members}
+    joined: dict[tuple[frozenset[int], frozenset[int]], frozenset[int]] = {}
+    # union[a] is the base set made of the atoms in the atom mask a
+    union = [0]
+    for atom in kit.base.algebra.atoms:
+        union += [u | atom.bits for u in union]
+    failing = []
+    for t_atoms, t in enumerate(union):
+        target = family[t]
+        if every_union <= target:
+            continue
+        a1 = t_atoms
+        while True:  # B1 over the sub-unions of T, B2 = (T - B1) + part of B1
+            b1, rest, s = union[a1], t_atoms & ~a1, a1
+            while True:
+                b2 = union[rest | s]
+                pair = family[b1], family[b2]
+                if pair not in joined:
+                    joined[pair] = frozenset(d1 | d2 for d1 in pair[0] for d2 in pair[1])
+                if not joined[pair] <= target:
+                    failing.append((b1, b2))
+                if not s:
+                    break
+                s = s - 1 & a1
+            if not a1:
+                break
+            a1 = a1 - 1 & t_atoms
+    rank = {b: i for i, b in enumerate(keys)}
+    failing.sort(key=lambda pair: (rank[pair[0]], rank[pair[1]]))
+    for b1, b2 in failing:
+        target = family[b1 | b2]
+        for d1 in ordered[family[b1]]:
+            for d2 in ordered[family[b2]]:
+                if d1 | d2 not in target:
+                    problems.append(
+                        f"union {fz(d1 | d2)} of selections from {fb(b1)} and "
+                        f"{fb(b2)} is missing from the family of {fb(b1 | b2)}"
+                    )
     return problems
 
 

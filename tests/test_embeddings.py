@@ -638,6 +638,33 @@ def test_validate_kit_matches_oracle_on_decomposed_kits():
     assert broken > 1000 and foreign > 1000
 
 
+def test_validate_kit_matches_oracle_on_mixed_families():
+    # complete, measurable dfamilies on 3-4 base atoms whose families are
+    # drawn from one to three shapes, so closure fails under some base
+    # sets and holds under others; a constant family is closed only when
+    # its one shape is
+    rng = random.Random(11)
+    zg = GroundSet(("z", "w"))
+    pasted = SigmaAlgebra(zg, (zg.singleton("z"), zg.singleton("w")))
+    dsets = list(pasted.sets())
+    refused = 0
+    for trial in range(60):
+        k = 3 + trial % 2
+        ground = GroundSet(tuple("abcdef"[: k + 1]))
+        groups = [["a", "abcdef"[k]], *([x] for x in "bcdef"[: k - 1])]
+        base = space(ground, groups, (1,) * k)
+        shapes = [
+            frozenset(rng.sample(dsets, rng.randint(1, len(dsets))))
+            for _ in range(1 + trial % 3)
+        ]
+        dfamily = {b: rng.choice(shapes) for b in base.algebra.sets()}
+        kit = ExtensionKit(base, pasted, dfamily, {})
+        problems = validate_kit(kit)
+        assert problems == validate_kit_oracle(kit)
+        refused += bool(problems)
+    assert 10 < refused < 60
+
+
 def _built(construct, kit):
     """The space ``construct`` builds from ``kit``, or the type and message
     of its refusal."""
