@@ -207,8 +207,12 @@ def auto_fibers(sizes: Mapping[SubsetMask, int]) -> dict[SubsetMask, tuple[str, 
     """
     out: dict[SubsetMask, tuple[str, ...]] = {}
     for kernel, size in sizes.items():
+        if type(size) is not int:
+            raise InputFormatError(f"fiber sizes must be integers, got {size!r}")
         if size < 1:
             raise InputFormatError("fiber sizes must be at least 1")
+        if not isinstance(kernel, SubsetMask) or not kernel:
+            raise InputFormatError(f"a fiber kernel must be a nonempty SubsetMask, got {kernel!r}")
         u = kernel.labels()[0]
         out[kernel] = tuple(f"{u}#{k}" for k in range(1, size + 1))
     return out
@@ -217,135 +221,117 @@ def auto_fibers(sizes: Mapping[SubsetMask, int]) -> dict[SubsetMask, tuple[str, 
 def validate_kit(kit: ExtensionKit) -> list[str]:
     """Return the list of violated kit invariants (empty = valid).
 
-    A valid kit is recognised on raw bits, without building a mask or
-    sorting anything: the labels are pairwise distinct, every fiber is a
-    nonempty fiber on a base atom, the dfamily keys are exactly the
-    measurable base sets, and every family is a nonempty set of
-    measurable pasted sets (see ``_well_formed``).  The three closure
-    conditions (the empty set in D_empty, complements, unions of
-    selections) are then decided by one count.  Put the pasted points
-    after X and let G = {B + D : D in D_B}.  G lies inside the algebra it
-    generates, which has 2**blocks sets, where blocks counts the classes
-    of points of X + Z that no member of G separates.  So G is closed,
-    which is exactly the three conditions, iff |G| = 2**blocks.
+    One pass on raw bits (``_shape_problems``) checks that the labels are
+    pairwise distinct, every fiber is a nonempty fiber on a base atom, the
+    dfamily keys are exactly the measurable base sets, and every family is
+    a nonempty set of measurable pasted sets.  Once keys and families are
+    well typed, the three closure conditions (the empty set in D_empty,
+    complements, unions of selections) are decided by one count.  Put the
+    pasted points after X and let G = {B + D : D in D_B}.  G lies inside
+    the algebra it generates, which has 2**blocks sets, where blocks
+    counts the classes of points of X + Z that no member of G separates.
+    So G is closed, which is exactly the three conditions, iff
+    |G| = 2**blocks.  A valid kit builds no mask and sorts nothing.
 
-    Only a refused kit is listed condition by condition, in canonical
-    order, to name every violation.  That listing checks the union
-    condition for pairs only: a finite selection D_1, ..., D_n folds to
-    pairwise unions ((D_1 | D_2) | D_3 ...), so pairwise closure over all
-    B_1, B_2 already gives the finite case.  The test suite re-checks
-    selections of length three directly.  A refusal that the listing
-    cannot back raises :class:`InvariantError`.
+    Only failing entries are sorted, to list them in canonical order.  A
+    refused count is listed condition by condition, the union condition
+    for pairs only: a finite selection D_1, ..., D_n folds to pairwise
+    unions ((D_1 | D_2) | D_3 ...), so pairwise closure already gives the
+    finite case (the test suite re-checks selections of length three).  A
+    refused count that the listing cannot back raises
+    :class:`InvariantError`.
     """
-    if _well_formed(kit):
-        if _dfamily_closed(kit):
-            return []
-        problems = _closure_problems(kit)
-    else:
-        problems = _listed_problems(kit)
-    if not problems:
-        raise InvariantError("the raw-bit checks refused a kit that no condition contradicts")
+    problems, typed = _shape_problems(kit)
+    if typed and not _dfamily_closed(kit):
+        closure = _closure_problems(kit)
+        if not closure:
+            raise InvariantError("the closure count refused a kit that no condition contradicts")
+        problems += closure
     return problems
 
 
-def _unions(atoms: Iterable[SubsetMask]) -> set[int]:
-    """The raw bits of every union of the given atoms."""
+def _unions(atom_bits: Iterable[int]) -> list[int]:
+    """Every union of the given disjoint atoms, as raw bits: entry i is the
+    union of the atoms at the bits of i."""
     unions = [0]
-    for atom in atoms:
-        bits = atom.bits
+    for bits in atom_bits:
         unions += [u | bits for u in unions]
-    return set(unions)
+    return unions
 
 
-def _well_formed(kit: ExtensionKit) -> bool:
-    """True iff ``_listed_problems`` names no label, fiber, key or member.
+def _shape_problems(kit: ExtensionKit) -> tuple[list[str], bool]:
+    """The violated label, fiber, key and family conditions, and whether
+    keys and families are well typed (so the closure count applies).
 
-    Base and pasted labels are distinct within their grounds, so the
-    labels are free of collisions and repeats iff all of them together
-    are distinct.  Keys over the base ground are distinct exactly when
-    their bits are, so the keys are the measurable base sets iff they all
-    lie over that ground and their bits are the unions of base atoms.
-    Each distinct pasted member is checked once.
+    Each condition is decided on ints; only its failing entries are sorted
+    by mask_key for the messages.  Base and pasted labels are distinct
+    within their grounds, so only a repeat among all labels together
+    walks the fibers to name the collision.
     """
     base_alg, pasted = kit.base.algebra, kit.pasted
-    labels = [*base_alg.ground.labels, *pasted.ground.labels]
+    x, z = base_alg.ground, pasted.ground
+    labels = [*x.labels, *z.labels]
     for fiber in kit.fibers.values():
         labels += fiber
-    if len(set(labels)) != len(labels):
-        return False
+    collision = len(set(labels)) != len(labels)
     atoms = set(base_alg.atoms)
-    if not all(fiber and kernel in atoms for kernel, fiber in kit.fibers.items()):
-        return False
+    bad_fibers = [
+        kernel for kernel, fiber in kit.fibers.items() if not fiber or kernel not in atoms
+    ]
 
-    x = base_alg.ground
-    keys = {b.bits for b in kit.dfamily if b.ground is x or b.ground == x}
-    if len(keys) != len(kit.dfamily) or keys != _unions(base_alg.atoms):
-        return False
-    families = kit.dfamily.values()
-    if not all(families):
-        return False
-    z, measurable = pasted.ground, _unions(pasted.atoms)
-    return all(
-        (d.ground is z or d.ground == z) and d.bits in measurable
-        for d in set().union(*families)
-    )
+    measurable = set(_unions(atom.bits for atom in base_alg.atoms))
+    keyed = {b.bits: ds for b, ds in kit.dfamily.items() if b.ground is x or b.ground == x}
+    missing = measurable.difference(keyed)
+    extra = [
+        b for b in kit.dfamily if not (b.ground is x or b.ground == x) or b.bits not in measurable
+    ]
+    z_measurable = set(_unions(atom.bits for atom in pasted.atoms))
+    wrong = {
+        d
+        for d in set().union(*kit.dfamily.values())
+        if not ((d.ground is z or d.ground == z) and d.bits in z_measurable)
+    }
+    # a family is listed only under a measurable key; another key is listed as extra
+    failing = [bits for bits, ds in keyed.items() if not ds or wrong and not wrong.isdisjoint(ds)]
+    typed = not (missing or extra or failing)
+    if typed and not (collision or bad_fibers):
+        return [], True
 
-
-def _listed_problems(kit: ExtensionKit) -> list[str]:
-    """Every violated invariant, fibers and base sets in mask_key order."""
     problems: list[str] = []
-    base_alg = kit.base.algebra
-
-    used: dict[str, str] = {label: "base" for label in base_alg.ground.labels}
-    for kernel in sorted(kit.fibers, key=mask_key):
-        labels = kit.fibers[kernel]
-        if len(set(labels)) != len(labels):
-            problems.append(f"fiber {kernel!r} repeats a label")
-        for label in labels:
+    if collision:
+        used = dict.fromkeys(x.labels, "base")
+        for kernel in sorted(kit.fibers, key=mask_key):
+            fiber = kit.fibers[kernel]
+            if len(set(fiber)) != len(fiber):
+                problems.append(f"fiber {kernel!r} repeats a label")
+            for label in fiber:
+                if label in used:
+                    problems.append(
+                        f"label {label!r} of fiber {kernel!r} collides with {used[label]}"
+                    )
+                else:
+                    used[label] = f"fiber {kernel!r}"
+        for label in z.labels:
             if label in used:
-                problems.append(
-                    f"label {label!r} of fiber {kernel!r} collides with {used[label]}"
-                )
+                problems.append(f"pasted label {label!r} collides with {used[label]}")
             else:
-                used[label] = f"fiber {kernel!r}"
-    for label in kit.pasted.ground.labels:
-        if label in used:
-            problems.append(f"pasted label {label!r} collides with {used[label]}")
-        else:
-            used[label] = "pasted"
-
-    atoms = set(base_alg.atoms)
-    for kernel in sorted(kit.fibers, key=mask_key):
+                used[label] = "pasted"
+    for kernel in sorted(bad_fibers, key=mask_key):
         if kernel not in atoms:
             problems.append(f"fiber key {kernel!r} is not an atom of the base algebra")
         if not kit.fibers[kernel]:
             problems.append(f"fiber {kernel!r} is empty")
-
-    expected = set(base_alg.sets())
-    keys = set(kit.dfamily)
-    for b in sorted(expected - keys, key=mask_key):
-        problems.append(f"no pasted family for base set {b!r}")
-    for b in sorted(keys - expected, key=mask_key):
+    for bits in sorted(missing, key=bits_key):
+        problems.append(f"no pasted family for base set {SubsetMask(x, bits)!r}")
+    for b in sorted(extra, key=mask_key):
         problems.append(f"pasted family keyed by non-measurable set {b!r}")
-
-    shared = sorted(keys & expected, key=mask_key)
-    well_typed = keys == expected
-    for b in shared:
-        ds = kit.dfamily[b]
+    for bits in sorted(measurable.intersection(failing), key=bits_key):
+        ds, b = keyed[bits], SubsetMask(x, bits)
         if not ds:
             problems.append(f"pasted family for {b!r} is empty")
-            well_typed = False
-        for d in sorted(ds, key=mask_key):
-            if d.ground != kit.pasted.ground or not kit.pasted.member(d):
-                problems.append(
-                    f"pasted family for {b!r} contains non-measurable {d!r}"
-                )
-                well_typed = False
-
-    # the closure conditions need a complete, measurable dfamily
-    if well_typed and not _dfamily_closed(kit):
-        problems.extend(_closure_problems(kit))
-    return problems
+        for d in sorted([d for d in ds if d in wrong], key=mask_key):
+            problems.append(f"pasted family for {b!r} contains non-measurable {d!r}")
+    return problems, typed
 
 
 def _dfamily_closed(kit: ExtensionKit) -> bool:
@@ -404,10 +390,7 @@ def _closure_problems(kit: ExtensionKit) -> list[str]:
     members = frozenset().union(*shared)
     every_union = {d1 | d2 for d1 in members for d2 in members}
     joined: dict[tuple[frozenset[int], frozenset[int]], frozenset[int]] = {}
-    # union[a] is the base set made of the atoms in the atom mask a
-    union = [0]
-    for atom in kit.base.algebra.atoms:
-        union += [u | atom.bits for u in union]
+    union = _unions(atom.bits for atom in kit.base.algebra.atoms)
     failing = []
     for t_atoms, t in enumerate(union):
         target = family[t]
@@ -475,10 +458,13 @@ def construct_extension(kit: ExtensionKit) -> MeasureSpace:
     # each pasted set moves onto the ground once, as the union of the
     # images of its atoms
     fibers = [(kernel.bits, ground.mask(labels).bits) for kernel, labels in kit.fibers.items()]
-    moved = {0: 0}
-    for atom in kit.pasted.atoms:
-        a, image = atom.bits, ground.mask(atom.labels()).bits
-        moved.update({z | a: m | image for z, m in moved.items()})
+    z_atoms = kit.pasted.atoms
+    moved = dict(
+        zip(
+            _unions(atom.bits for atom in z_atoms),
+            _unions(ground.mask(atom.labels()).bits for atom in z_atoms),
+        )
+    )
     family: set[int] = set()
     for b, ds in kit.dfamily.items():
         bits = b.bits
@@ -627,7 +613,11 @@ def enumerate_extensions(
     before any object is built.  Then each distinct block becomes one
     ``SubsetMask``, shared by every space that has it as an atom.
     """
+    if isinstance(extra_labels, str) or not isinstance(extra_labels, Iterable):
+        raise InputFormatError(f"extra labels must be a collection, got {extra_labels!r}")
     extras = list(extra_labels)
+    if not all(isinstance(label, str) for label in extras):
+        raise InputFormatError(f"extra labels must be strings, got {extras!r}")
     if len(set(extras)) != len(extras):
         raise InputFormatError("extra labels must be distinct")
     if set(extras) & set(base.ground.labels):

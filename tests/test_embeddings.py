@@ -20,6 +20,7 @@ from measpace import (
     SubsetMask,
     ZERO,
     all_sigma_algebras,
+    auto_fibers,
     check_measurable_embedding,
     check_measure_embedding,
     classify_outside_points,
@@ -280,6 +281,27 @@ def test_kit_refuses_a_dfamily_or_fibers_of_the_wrong_type():
     assert kit.fibers == {atom: ("p",)} and validate_kit(kit) == []
 
 
+@pytest.mark.parametrize(
+    "kernel, size, message",
+    [
+        ("atom", "2", "integers"),
+        ("atom", 2.0, "integers"),
+        ("atom", True, "integers"),
+        ("atom", None, "integers"),
+        ("atom", 0, "at least 1"),
+        ("empty", 1, "nonempty SubsetMask"),
+        ("a", 1, "nonempty SubsetMask"),
+    ],
+)
+def test_auto_fibers_refuses_a_bad_size_or_kernel(kernel, size, message):
+    # a non-int size used to escape as a TypeError (or count a bool as 1),
+    # and an empty kernel as an IndexError
+    base = one_point_base()
+    kernel = {"atom": base.algebra.atoms[0], "empty": base.ground.empty}.get(kernel, kernel)
+    with pytest.raises(InputFormatError, match=message):
+        auto_fibers({kernel: size})
+
+
 def test_construct_checks_its_result_without_assert(monkeypatch):
     # both invariants raise a library error, which python -O cannot strip
     base = one_point_base()
@@ -494,6 +516,13 @@ def test_enumerate_guards():
         enumerate_extensions(base, ["a"])  # not fresh
     with pytest.raises(Exception):
         enumerate_extensions(base, ["p", "p"])  # duplicate
+    # a string used to split into one-letter points, and a mix of label
+    # types to escape as a TypeError; a set is accepted, since the extra
+    # points are sorted anyway
+    for extras in ("pq", 5, None, [1, "p"], [["q"], "p"]):
+        with pytest.raises(InputFormatError):
+            enumerate_extensions(base, extras)
+    assert enumerate_extensions(base, {"q", "p"}) == enumerate_extensions(base, ["p", "q"])
 
 
 def test_empty_base_space():
@@ -663,6 +692,56 @@ def test_validate_kit_matches_oracle_on_mixed_families():
         assert problems == validate_kit_oracle(kit)
         refused += bool(problems)
     assert 10 < refused < 60
+
+
+def test_validate_kit_matches_oracle_with_many_failures_per_condition():
+    # random kits that break several labels, fibers, keys and members at
+    # once, so each group of messages has more than one entry to order
+    rng = random.Random(13)
+    ground = GroundSet(("a", "b", "c", "d", "e"))
+    base = space(ground, (["a", "e"], ["b"], ["c", "d"]), (1, 0, "inf"))
+    zg = GroundSet(("z", "w", "v"))
+    pasted = SigmaAlgebra(zg, (zg.mask(["z", "w"]), zg.singleton("v")))
+    every_x = [SubsetMask(ground, bits) for bits in range(1 << ground.size)]
+    every_z = [SubsetMask(zg, bits) for bits in range(1 << zg.size)]
+    refused = 0
+    for _ in range(300):
+        keys = [b for b in base.algebra.sets() if rng.random() < 0.8]
+        keys += rng.sample(every_x, 3)
+        dfamily = {
+            b: frozenset(rng.sample(every_z, rng.choice((0, 1, 2, 4)))) for b in keys
+        }
+        fibers = {
+            kernel: tuple(rng.sample(["p", "q", "a", "z", "p"], rng.randint(0, 2)))
+            for kernel in rng.sample([*base.algebra.atoms, *every_x[:6]], 4)
+        }
+        kit = ExtensionKit(base, pasted, dfamily, fibers)
+        problems = validate_kit(kit)
+        assert problems == validate_kit_oracle(kit)
+        refused += bool(problems)
+    assert refused == 300
+
+
+def test_validate_kit_never_walks_an_algebra(monkeypatch):
+    # every criterion-4 kit and every single-set mutation of the valid
+    # ones, refused ones included, is listed without SigmaAlgebra.sets()
+    cases = []
+    for kit in small_kits():
+        expected = validate_kit_oracle(kit)
+        cases.append((kit, expected))
+        if not expected:
+            cases += [(m, validate_kit_oracle(m)) for m in (*_toggled(kit), *_foreign(kit))]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("validate_kit walked an algebra")
+
+    monkeypatch.setattr(SigmaAlgebra, "sets", refuse)
+    monkeypatch.setattr(SigmaAlgebra, "sorted_sets", refuse)
+    refused = 0
+    for kit, expected in cases:
+        assert validate_kit(kit) == expected
+        refused += bool(expected)
+    assert refused > 1000
 
 
 def _built(construct, kit):
