@@ -205,6 +205,8 @@ def auto_fibers(sizes: Mapping[SubsetMask, int]) -> dict[SubsetMask, tuple[str, 
     ``u`` is the least-index point of the kernel atom, so distinct atoms
     never collide.
     """
+    if not isinstance(sizes, Mapping):
+        raise InputFormatError(f"fiber sizes must be a mapping, got {sizes!r}")
     out: dict[SubsetMask, tuple[str, ...]] = {}
     for kernel, size in sizes.items():
         if type(size) is not int:
@@ -241,13 +243,19 @@ def validate_kit(kit: ExtensionKit) -> list[str]:
     refused count that the listing cannot back raises
     :class:`InvariantError`.
     """
+    return _checked(kit)[0]
+
+
+def _checked(kit: ExtensionKit) -> tuple[list[str], list[int] | None]:
+    """validate_kit's problems and G's blocks (None unless the count holds)."""
     problems, typed = _shape_problems(kit)
-    if typed and not _dfamily_closed(kit):
+    blocks = _closed_blocks(kit) if typed else None
+    if typed and blocks is None:
         closure = _closure_problems(kit)
         if not closure:
             raise InvariantError("the closure count refused a kit that no condition contradicts")
         problems += closure
-    return problems
+    return problems, blocks
 
 
 def _unions(atom_bits: Iterable[int]) -> list[int]:
@@ -282,8 +290,10 @@ def _shape_problems(kit: ExtensionKit) -> tuple[list[str], bool]:
     measurable = set(_unions(atom.bits for atom in base_alg.atoms))
     keyed = {b.bits: ds for b, ds in kit.dfamily.items() if b.ground is x or b.ground == x}
     missing = measurable.difference(keyed)
+    # with no key missing, as many keys as measurable sets leave none extra
+    scan = kit.dfamily if missing or len(kit.dfamily) != len(measurable) else ()
     extra = [
-        b for b in kit.dfamily if not (b.ground is x or b.ground == x) or b.bits not in measurable
+        b for b in scan if not (b.ground is x or b.ground == x) or b.bits not in measurable
     ]
     z_measurable = set(_unions(atom.bits for atom in pasted.atoms))
     wrong = {
@@ -334,12 +344,12 @@ def _shape_problems(kit: ExtensionKit) -> tuple[list[str], bool]:
     return problems, typed
 
 
-def _dfamily_closed(kit: ExtensionKit) -> bool:
-    """|G| = 2**blocks for G = {B + D : D in D_B} on X + Z (see validate_kit)."""
+def _closed_blocks(kit: ExtensionKit) -> list[int] | None:
+    """The blocks of G on X + Z if |G| = 2**blocks (see validate_kit), else None."""
     shift = kit.base.ground.size
     generated = {b.bits | d.bits << shift for b, ds in kit.dfamily.items() for d in ds}
     blocks = generated_atom_bits(shift + kit.pasted.ground.size, generated)
-    return len(generated) == 1 << len(blocks)
+    return blocks if len(generated) == 1 << len(blocks) else None
 
 
 def _names(ground: GroundSet):
@@ -433,12 +443,16 @@ def construct_extension(kit: ExtensionKit) -> MeasureSpace:
     lexicographic order (a canonical choice, so reconstruction from a
     decomposed kit is reproducible).  Measurable sets are exactly
     B + (fibers of atoms inside B) + D with D in D_B, and such a set gets
-    the base value of B.  The family is built on raw bits; each atom of
-    its algebra meets X in nothing or in one base atom, whose value it
-    carries.  The result is checked to be closed and to embed the base; a
-    failure raises :class:`InvariantError`.
+    the base value of B.  Validation found the blocks of G on X + Z and
+    proved |G| = 2**blocks (see validate_kit).  Keeping each base point,
+    sending each fiber point with its kernel atom and each pasted point
+    to its place in the ground is a Boolean isomorphism onto the
+    extension's algebra, so its atoms are the images of the blocks and
+    the count carries over.  Each atom meets X in nothing (a pasted
+    atom, null) or in one base atom, whose value it carries.  The result
+    is checked to embed the base; a failure raises :class:`InvariantError`.
     """
-    problems = validate_kit(kit)
+    problems, blocks = _checked(kit)
     if problems:
         raise InvalidKitError(problems)
 
@@ -454,32 +468,17 @@ def construct_extension(kit: ExtensionKit) -> MeasureSpace:
         )
     ground = GroundSet(all_labels)
 
-    # the base points come first in the ground, so base bits carry over;
-    # each pasted set moves onto the ground once, as the union of the
-    # images of its atoms
-    fibers = [(kernel.bits, ground.mask(labels).bits) for kernel, labels in kit.fibers.items()]
-    z_atoms = kit.pasted.atoms
-    moved = dict(
-        zip(
-            _unions(atom.bits for atom in z_atoms),
-            _unions(ground.mask(atom.labels()).bits for atom in z_atoms),
-        )
-    )
-    family: set[int] = set()
-    for b, ds in kit.dfamily.items():
-        bits = b.bits
-        carried = bits | sum(fb for kernel, fb in fibers if kernel & ~bits == 0)
-        family.update([carried | moved[d.bits] for d in ds])
-
-    atoms = generated_atom_bits(ground.size, family)
-    if len(family) != 1 << len(atoms):
-        raise InvariantError(
-            f"the kit generates {len(family)} sets, but their algebra has {1 << len(atoms)}"
-        )
-    algebra = SigmaAlgebra(ground, tuple(SubsetMask(ground, bits) for bits in atoms))
-
-    # a big atom meets X in nothing (a pasted atom, null) or in one base atom
+    # the base points come first in the ground, so base bits carry over
     x_bits = (1 << base.ground.size) - 1
+    fiber_of = {kernel.bits: ground.mask(labels).bits for kernel, labels in kit.fibers.items()}
+    z_places = [1 << ground.index(label) for label in kit.pasted.ground.labels]
+    atoms = []
+    for block in blocks:
+        trace = block & x_bits
+        moved = sum(place for i, place in enumerate(z_places, base.ground.size) if block >> i & 1)
+        atoms.append(SubsetMask(ground, trace | fiber_of.get(trace, 0) | moved))
+    algebra = SigmaAlgebra(ground, tuple(atoms))
+
     value_of = {atom.bits: value for atom, value in zip(base.algebra.atoms, base.atom_values)}
     value_of[0] = ZERO
     traces = [atom.bits & x_bits for atom in algebra.atoms]

@@ -291,27 +291,25 @@ def test_kit_refuses_a_dfamily_or_fibers_of_the_wrong_type():
         ("atom", 0, "at least 1"),
         ("empty", 1, "nonempty SubsetMask"),
         ("a", 1, "nonempty SubsetMask"),
+        ("sizes", None, "must be a mapping"),
+        ("sizes", [1], "must be a mapping"),
     ],
 )
 def test_auto_fibers_refuses_a_bad_size_or_kernel(kernel, size, message):
     # a non-int size used to escape as a TypeError (or count a bool as 1),
-    # and an empty kernel as an IndexError
+    # an empty kernel as an IndexError, and sizes that are not a mapping
+    # (kernel "sizes" passes ``size`` itself) as an AttributeError
     base = one_point_base()
     kernel = {"atom": base.algebra.atoms[0], "empty": base.ground.empty}.get(kernel, kernel)
     with pytest.raises(InputFormatError, match=message):
-        auto_fibers({kernel: size})
+        auto_fibers(size if kernel == "sizes" else {kernel: size})
 
 
 def test_construct_checks_its_result_without_assert(monkeypatch):
-    # both invariants raise a library error, which python -O cannot strip
+    # both invariants raise a library error, which python -O cannot strip;
+    # validation is skipped, but its closure count still gives the blocks
     base = one_point_base()
-    pasted = z_algebra()
-    unclosed = ExtensionKit(
-        base, pasted, {b: frozenset({pasted.ground.empty}) for b in base.algebra.sets()}, {}
-    )
-    monkeypatch.setattr(embeddings, "validate_kit", lambda kit: [])
-    with pytest.raises(InvariantError, match="generates 2 sets"):
-        construct_extension(unclosed)
+    monkeypatch.setattr(embeddings, "_checked", lambda kit: ([], embeddings._closed_blocks(kit)))
 
     # closed, but one atom spans both base atoms
     two = space(G("a", "b"), (["a"], ["b"]), (1, 1))
@@ -331,7 +329,7 @@ def test_a_fast_refusal_without_a_witness_raises(monkeypatch):
     # set-by-set scans cannot back is a library fault, not an answer
     base = one_point_base()
     kit = identity_kit(base)
-    monkeypatch.setattr(embeddings, "_dfamily_closed", lambda kit: False)
+    monkeypatch.setattr(embeddings, "_closed_blocks", lambda kit: None)
     with pytest.raises(InvariantError, match="no condition contradicts"):
         validate_kit(kit)
 
@@ -799,6 +797,20 @@ def test_validate_kit_builds_no_mask_and_sorts_nothing_on_a_valid_kit(monkeypatc
     monkeypatch.setattr(embeddings, "sorted", refuse, raising=False)
     for kit in kits:
         assert validate_kit(kit) == []
+
+
+def test_construct_extension_refines_the_closure_once(monkeypatch):
+    # construction reuses the blocks validation found, not a second refinement
+    calls, refine = [], embeddings.generated_atom_bits
+
+    def counted(size, generator_bits):
+        calls.append(size)
+        return refine(size, generator_bits)
+
+    monkeypatch.setattr(embeddings, "generated_atom_bits", counted)
+    kit = _six_atom_kit()
+    assert construct_extension(kit) == construct_extension_oracle(kit)
+    assert len(calls) == 1
 
 
 def test_construct_extension_measures_no_set_and_moves_no_pair(monkeypatch):
