@@ -29,7 +29,7 @@ MAX_POINTS = 16
 # most this size (CPython's default cap on int <-> str conversion), so
 # "1e999999999" is refused before Fraction builds a billion-digit integer.
 _MAX_DIGITS = 4300
-_EXPONENT = re.compile(r"e([-+]?\d[\d_]*)$", re.IGNORECASE)
+_EXPONENT = re.compile(r"e([-+]?\d+)$", re.IGNORECASE)
 
 # __init__ stores fields through object's setter: the classes refuse assignment
 _setattr = object.__setattr__
@@ -141,12 +141,14 @@ class ExtReal(_Value):
                 return cls(None)
             exponent = _EXPONENT.search(text)
             if sum(ch.isdigit() for ch in text) > _MAX_DIGITS or (
-                exponent and abs(int(exponent[1].replace("_", ""))) > _MAX_DIGITS
+                exponent and abs(int(exponent[1])) > _MAX_DIGITS
             ):
                 raise InputFormatError(
                     f"measure value has more than {_MAX_DIGITS} digits "
                     f"or an exponent beyond +-{_MAX_DIGITS}"
                 )
+            if "_" in text:  # Fraction reads PEP 515 underscores from Python 3.11 on
+                raise InputFormatError(f"bad measure value {value!r}")
             try:
                 return cls(Fraction(text))
             except (ValueError, ZeroDivisionError):
@@ -465,12 +467,31 @@ def generated_atom_bits(size: int, generator_bits: Iterable[int]) -> list[int]:
     return blocks
 
 
+def _relabel(bits: int, source: GroundSet, target: GroundSet) -> int:
+    """Raw ``bits`` over ``source`` moved point by point, by label, onto ``target``."""
+    return sum(1 << target.index(source.labels[i]) for i in bits_key(bits))
+
+
 def transfer_mask(mask: SubsetMask, target: GroundSet) -> SubsetMask:
     """Re-express a mask over another ground set containing its labels."""
-    bits = 0
-    for label in mask.labels():
-        bits |= 1 << target.index(label)
-    return SubsetMask(target, bits)
+    return SubsetMask(target, _relabel(mask.bits, mask.ground, target))
+
+
+def _trace(
+    algebra: SigmaAlgebra, x: SubsetMask, target: GroundSet | None
+) -> tuple[SigmaAlgebra, list[int]]:
+    """The one trace pass: ``trace_algebra``, and for each of its atoms in
+    order the index of the atom A of ``algebra`` it is cut from.  Each
+    A & X is moved on raw bits; atoms are disjoint, so each point of X is
+    moved once, and the cuts' distinct least points put them in order.
+    """
+    if x.ground != algebra.ground:
+        raise GroundMismatchError("trace set over a different ground set")
+    if target is None:
+        target = GroundSet(x.labels())
+    cut = [_relabel(atom.bits & x.bits, algebra.ground, target) for atom in algebra.atoms]
+    sources = sorted((i for i, b in enumerate(cut) if b), key=lambda i: cut[i] & -cut[i])
+    return SigmaAlgebra(target, tuple(SubsetMask(target, cut[i]) for i in sources)), sources
 
 
 def trace_algebra(
@@ -478,20 +499,11 @@ def trace_algebra(
 ) -> SigmaAlgebra:
     """The induced sigma-algebra {C intersect X : C measurable} on X.
 
-    Its atoms are the nonempty intersections of the atoms with ``x``.
+    Its atoms are the nonempty cuts A & X of the atoms (see ``_trace``).
     ``target`` fixes the label order of the result (defaults to the order
     inherited from the ambient ground set).
     """
-    if x.ground != algebra.ground:
-        raise GroundMismatchError("trace set over a different ground set")
-    if target is None:
-        target = GroundSet(x.labels())
-    atoms = []
-    for atom in algebra.atoms:
-        inter = atom & x
-        if inter:
-            atoms.append(transfer_mask(inter, target))
-    return SigmaAlgebra(target, tuple(atoms))
+    return _trace(algebra, x, target)[0]
 
 
 class MeasureSpace(_Value):

@@ -27,6 +27,8 @@ from .core import (
     _check_label,
     _ordered,
     _setattr,
+    _relabel,
+    _trace,
     _Value,
     bits_key,
     generated_atom_bits,
@@ -69,25 +71,15 @@ class EmbeddingReport(_Value):
         _setattr(self, "witness", witness)
 
 
-def _trace_space(
-    big: MeasureSpace, x: SubsetMask, target: GroundSet | None = None
-) -> MeasureSpace:
-    """The trace space of ``big`` on X, labelled in ``target`` order (by
-    default, the order X inherits from the big ground).
-
-    Its algebra is ``trace_algebra(big.algebra, x, target)``.  Big atoms
-    are disjoint, so each trace atom is A & X for exactly one big atom A,
-    and it carries A's value; it need not sort where A does unless X
-    comes first.
+def _trace_space(big: MeasureSpace, x: SubsetMask, target: GroundSet | None = None) -> tuple:
+    """The trace space of ``big`` on X in ``target`` label order (by default
+    the order X inherits from the big ground), and the index of each trace
+    atom's big atom, from one trace pass.  Each trace atom is A & X for
+    exactly one big atom A and carries A's value; it need not sort where A
+    does unless X comes first.
     """
-    algebra = trace_algebra(big.algebra, x, target)
-    ground = algebra.ground
-    value_of = {
-        transfer_mask(atom & x, ground): value
-        for atom, value in zip(big.algebra.atoms, big.atom_values)
-        if atom.bits & x.bits
-    }
-    return MeasureSpace(algebra, tuple(map(value_of.__getitem__, algebra.atoms)))
+    algebra, sources = _trace(big.algebra, x, target)
+    return MeasureSpace(algebra, tuple(big.atom_values[i] for i in sources)), sources
 
 
 def measure_embedding_report(small: MeasureSpace, big: MeasureSpace) -> EmbeddingReport:
@@ -106,7 +98,7 @@ def measure_embedding_report(small: MeasureSpace, big: MeasureSpace) -> Embeddin
     :class:`InvariantError`.
     """
     x = _embedded_mask(small.ground, big.ground)
-    if big.is_thick(x) and _trace_space(big, x, small.ground) == small:
+    if big.is_thick(x) and _trace_space(big, x, small.ground)[0] == small:
         return EmbeddingReport(True)
     traces = set()
     for c in big.algebra.sorted_sets():
@@ -471,11 +463,10 @@ def construct_extension(kit: ExtensionKit) -> MeasureSpace:
     # the base points come first in the ground, so base bits carry over
     x_bits = (1 << base.ground.size) - 1
     fiber_of = {kernel.bits: ground.mask(labels).bits for kernel, labels in kit.fibers.items()}
-    z_places = [1 << ground.index(label) for label in kit.pasted.ground.labels]
     atoms = []
     for block in blocks:
         trace = block & x_bits
-        moved = sum(place for i, place in enumerate(z_places, base.ground.size) if block >> i & 1)
+        moved = _relabel(block >> base.ground.size, kit.pasted.ground, ground)
         atoms.append(SubsetMask(ground, trace | fiber_of.get(trace, 0) | moved))
     algebra = SigmaAlgebra(ground, tuple(atoms))
 
@@ -521,28 +512,29 @@ class DecompositionRecord(_Value):
 
 
 def _induced_base(big: MeasureSpace, x: SubsetMask) -> tuple:
-    """Read an extension over X in one pass over its atoms.
+    """Read an extension over X off one trace pass (see ``_trace_space``).
 
-    Returns the trace space on X (see ``_trace_space``), the bits of Z
-    (the big atoms that miss X), the fibers, and the class of every point
-    of Y minus X, in atom order.  The trace space takes X's own label
-    order, so its traces match by construction and it embeds exactly
-    when X is thick (see ``measure_embedding_report``).  Only a refusal
-    runs the embedding report, for its reason and witness.
+    Returns the trace space on X, the bits of Z (the big atoms the pass
+    did not cut), the fibers, each keyed and anchored by the trace atom
+    its big atom was cut to, and the class of every point of Y minus X,
+    in atom order.  The trace space takes X's own label order, so it
+    embeds exactly when X is thick (see ``measure_embedding_report``).
+    Only a refusal runs the embedding report, for its reason and witness.
     """
     if x.ground != big.ground:
         raise GroundMismatchError("x is over a different ground set")
-    small = _trace_space(big, x)
+    small, sources = _trace_space(big, x)
+    inside_of = dict(zip(sources, small.algebra.atoms))
     z_bits = 0
     fibers: dict[SubsetMask, tuple[str, ...]] = {}
     assignment: dict[str, OutsidePointClass] = {}
     pasted = OutsidePointClass("pasted")
-    for atom in big.algebra.atoms:
-        inside = atom & x
+    for i, atom in enumerate(big.algebra.atoms):
+        inside = inside_of.get(i)
         if inside:
             stuck = (atom - x).labels()
             if stuck:
-                fibers[transfer_mask(inside, small.ground)] = stuck
+                fibers[inside] = stuck
                 sticks = OutsidePointClass("sticks_to", inside.labels())
                 assignment.update(dict.fromkeys(stuck, sticks))
         else:

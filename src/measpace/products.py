@@ -77,12 +77,8 @@ def product_space(left: MeasureSpace, right: MeasureSpace) -> ProductSpace:
         for ra, rv in zip(right.algebra.atoms, right.atom_values):
             atoms.append(SubsetMask(ground, _rectangle_bits(la, ra)))
             values.append(lv * rv)
-    algebra = SigmaAlgebra(ground, tuple(atoms))
-
-    order = {a: i for i, a in enumerate(atoms)}
-    product = MeasureSpace(
-        algebra, tuple(values[order[a]] for a in algebra.atoms)
-    )
+    # the least point of la x ra is min(la) * |right| + min(ra), so atoms come in least-point order
+    product = MeasureSpace(SigmaAlgebra(ground, tuple(atoms)), tuple(values))
     return ProductSpace(left=left, right=right, product=product)
 
 

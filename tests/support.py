@@ -40,8 +40,6 @@ from measpace import (
     check_measure_embedding,
     generate_sigma_algebra,
     mask_key,
-    trace_algebra,
-    transfer_mask,
 )
 from measpace.core import MAX_POINTS
 from measpace.embeddings import ENUMERATION_CAP
@@ -205,6 +203,31 @@ def family_of_algebra_bits(atom_bits: list[int]) -> set[int]:
 
 def trace_family(family_bits: set[int], x_bits: int) -> set[int]:
     return {c & x_bits for c in family_bits}
+
+
+def relabel_oracle(mask: SubsetMask, target: GroundSet) -> SubsetMask:
+    """``mask`` re-expressed over ``target`` by looking each of its labels
+    up in the target's label tuple."""
+    labels = mask.ground.labels
+    return SubsetMask(
+        target,
+        sum(1 << target.labels.index(labels[i]) for i in range(len(labels)) if mask.bits >> i & 1),
+    )
+
+
+def trace_algebra_oracle(algebra: SigmaAlgebra, x: SubsetMask, target=None) -> SigmaAlgebra:
+    """The trace {C & X : C measurable} by definition, on raw bits: every
+    measurable set is cut down to X, and the minimal nonempty cuts are
+    moved by label into ``target`` (by default X's labels in ground
+    order)."""
+    ground = algebra.ground
+    if target is None:
+        target = GroundSet(tuple(ground.labels[i] for i in range(ground.size) if x.bits >> i & 1))
+    traces = trace_family(family_of_algebra_bits([a.bits for a in algebra.atoms]), x.bits)
+    atoms = atoms_of_family(ground.size, traces)
+    return SigmaAlgebra(
+        target, tuple(relabel_oracle(SubsetMask(ground, bits), target) for bits in atoms)
+    )
 
 
 def count_extensions_oracle(base: MeasureSpace, n_extra: int) -> int:
@@ -380,7 +403,7 @@ def construct_extension_oracle(kit: ExtensionKit) -> MeasureSpace:
             if kernel.issubset(b):
                 bits |= fb
         for d in kit.dfamily[b]:
-            family.add(bits | transfer_mask(d, ground).bits)
+            family.add(bits | relabel_oracle(d, ground).bits)
 
     algebra = generate_sigma_algebra(ground, (SubsetMask(ground, bits) for bits in family))
     if len(family) != algebra.n_sets:
@@ -388,7 +411,7 @@ def construct_extension_oracle(kit: ExtensionKit) -> MeasureSpace:
             f"the kit generates {len(family)} sets, but their algebra has {algebra.n_sets}"
         )
     values = tuple(
-        base.measure_of(transfer_mask(atom & x, base.ground)) for atom in algebra.atoms
+        base.measure_of(relabel_oracle(atom & x, base.ground)) for atom in algebra.atoms
     )
     result = MeasureSpace(algebra, values)
     report = embedding_report_oracle(base, result)
@@ -408,7 +431,7 @@ def embedding_report_oracle(small: MeasureSpace, big: MeasureSpace) -> Embedding
     x = big.ground.mask(small.ground.labels)
     traces = set()
     for c in big.algebra.sorted_sets():
-        t = transfer_mask(c & x, small.ground)
+        t = relabel_oracle(c & x, small.ground)
         traces.add(t)
         if not small.algebra.member(t):
             return EmbeddingReport(False, "trace-mismatch", c)
@@ -416,7 +439,7 @@ def embedding_report_oracle(small: MeasureSpace, big: MeasureSpace) -> Embedding
         if s not in traces:
             return EmbeddingReport(False, "trace-mismatch", s)
     for c in big.algebra.sorted_sets():
-        t = transfer_mask(c & x, small.ground)
+        t = relabel_oracle(c & x, small.ground)
         if big.measure_of(c) != small.measure_of(t):
             return EmbeddingReport(False, "measure-mismatch", c)
     return EmbeddingReport(True)
@@ -485,7 +508,7 @@ def check_thickness_equivalence(small, big) -> bool:
     x = big.ground.mask(small.ground.labels)
     lhs = check_measure_embedding(small, big)
     rhs = big.is_thick(x) and all(
-        big.measure_of(c) == small.measure_of(transfer_mask(c & x, small.ground))
+        big.measure_of(c) == small.measure_of(relabel_oracle(c & x, small.ground))
         for c in big.algebra.sets()
     )
     return lhs == rhs
@@ -583,7 +606,7 @@ def lift_to_superspace_oracle(f, superalgebra):
     lifted = frozenset(
         g
         for g in superalgebra.sets()
-        if any(transfer_mask(m, superalgebra.ground).issubset(g) for m in f.members)
+        if any(relabel_oracle(m, superalgebra.ground).issubset(g) for m in f.members)
     )
     return classify_family_oracle(SetFamily(superalgebra, lifted))
 
@@ -615,9 +638,8 @@ def restrict_by_trace_oracle(h, x):
     for member in h.family.sorted_members():
         if member.isdisjoint(x):
             raise PreconditionError(f"member {member!r} does not meet X")
-    target = GroundSet(x.labels())
-    small = trace_algebra(h.algebra, x, target)
-    traces = frozenset(transfer_mask(m & x, target) for m in h.members)
+    small = trace_algebra_oracle(h.algebra, x)
+    traces = frozenset(relabel_oracle(m & x, small.ground) for m in h.members)
     return extend_to_ultrafilter_oracle(SetFamily(small, traces))
 
 
@@ -660,15 +682,15 @@ def project_ultrafilter_oracle(ps, h):
     return left, right
 
 
-def trace_space(big, x):
-    """The trace measure space on X: each trace atom A & X carries the
-    value of its big atom A.  It embeds exactly when X is thick."""
-    target = GroundSet(x.labels())
-    small_alg = trace_algebra(big.algebra, x, target)
+def trace_space(big, x, target=None):
+    """The trace measure space on X, over ``target`` (by default X's labels
+    in ground order): each trace atom A & X carries the value of its big
+    atom A.  It embeds exactly when X is thick."""
+    small_alg = trace_algebra_oracle(big.algebra, x, target)
     # big atoms are disjoint, so each trace atom is A & X for exactly one
     # big atom A; it need not sort where A does unless X comes first
     value_of = {
-        transfer_mask(atom & x, target): value
+        relabel_oracle(atom & x, small_alg.ground): value
         for atom, value in zip(big.algebra.atoms, big.atom_values)
         if atom.bits & x.bits
     }
@@ -727,12 +749,12 @@ def decompose_extension_oracle(big, x):
     z_ground = GroundSet(z_part.labels())
     pasted = SigmaAlgebra(
         z_ground,
-        tuple(transfer_mask(a, z_ground) for a in big.algebra.atoms if a.issubset(z_part)),
+        tuple(relabel_oracle(a, z_ground) for a in big.algebra.atoms if a.issubset(z_part)),
     )
     dfamily = {}
     for c in big.algebra.sets():
-        b = transfer_mask(c & x, small.ground)
-        dfamily.setdefault(b, set()).add(transfer_mask(c & z_part, z_ground))
+        b = relabel_oracle(c & x, small.ground)
+        dfamily.setdefault(b, set()).add(relabel_oracle(c & z_part, z_ground))
     fibers = {}
     assignment = {label: OutsidePointClass("pasted") for label in z_part.labels()}
     for atom in big.algebra.atoms:
@@ -740,7 +762,7 @@ def decompose_extension_oracle(big, x):
         if not inside or not stuck:
             continue
         members = frozenset(
-            transfer_mask(c & x, small.ground) for c in big.algebra.sets() if atom.issubset(c)
+            relabel_oracle(c & x, small.ground) for c in big.algebra.sets() if atom.issubset(c)
         )
         record = classify_family_oracle(SetFamily(small.algebra, members))
         if not (record.is_ultrafilter and record.has_cip):
@@ -782,10 +804,10 @@ def enumerate_extensions_oracle(
             SubsetMask(ground, sum(1 << i for i in block)) for block in blocks
         )
         algebra = SigmaAlgebra(ground, atoms)
-        if trace_algebra(algebra, x, base.ground) != base.algebra:
+        if trace_algebra_oracle(algebra, x, base.ground) != base.algebra:
             continue
         values = tuple(
-            base.measure_of(transfer_mask(atom & x, base.ground))
+            base.measure_of(relabel_oracle(atom & x, base.ground))
             for atom in algebra.atoms
         )
         out.append(MeasureSpace(algebra, values))

@@ -216,12 +216,17 @@ def test_error_objects(capsys, tmp_path):
 
     # numbers too long to parse, build or print: a JSON integer past the
     # interpreter's 4300-digit conversion cap, exponents past that cap,
-    # and a product of two 3000-digit values
+    # and a product of two 3000-digit values; and a value with a PEP 515
+    # underscore, which is not a decimal or fraction string on any version
     point = {"points": ["a"], "atoms": [["a"]]}
     huge_int = tmp_path / "huge_int.json"
     huge_int.write_text(json.dumps(point)[:-1] + ', "values": [' + "1" * 5000 + "]}")
     inputs = [huge_int]
-    for name, value in (("exp.json", "1e400000"), ("negexp.json", "1e-400000")):
+    for name, value in (
+        ("exp.json", "1e400000"),
+        ("negexp.json", "1e-400000"),
+        ("underscore.json", "1_000"),
+    ):
         path = tmp_path / name
         path.write_text(json.dumps({**point, "values": [value]}))
         inputs.append(path)
@@ -290,6 +295,41 @@ def test_mutated_fixtures_keep_the_error_contract(data):
     with mock.patch.object(sys, "stdin", io.StringIO(text)):
         with redirect_stdout(out), redirect_stderr(err):
             code = run(argv)
+    assert code in (0, 1, 2)
+    assert err.getvalue() == ""
+    payload = json.loads(out.getvalue())
+    if code == 2:
+        assert list(payload) == ["error"]
+        assert sorted(payload["error"]) == ["code", "message", "path"]
+
+
+def _byte_mutated(data, raw: bytes) -> bytes:
+    """``raw`` truncated, with one bit flipped, one byte inserted or
+    deleted, or a UTF-8 byte order mark in front."""
+    kind = data.draw(st.sampled_from(["truncate", "flip", "insert", "delete", "bom"]))
+    if kind == "bom":
+        return b"\xef\xbb\xbf" + raw
+    at = data.draw(st.integers(0, len(raw) - 1))
+    if kind == "truncate":
+        return raw[:at]
+    if kind == "flip":
+        return raw[:at] + bytes([raw[at] ^ 1 << data.draw(st.integers(0, 7))]) + raw[at + 1 :]
+    if kind == "insert":
+        return raw[:at] + bytes([data.draw(st.integers(0, 255))]) + raw[at:]
+    return raw[:at] + raw[at + 1 :]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_byte_mutated_fixtures_keep_the_error_contract(tmp_path_factory, data):
+    # the mutated bytes go through a file, so the UTF-8 decode runs on them
+    (_, argv, _), i = data.draw(st.sampled_from(FIXTURE_ARGS))
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_bytes(_byte_mutated(data, Path(argv[i]).read_bytes()))
+    argv = argv[:i] + [str(path)] + argv[i + 1 :]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
     assert code in (0, 1, 2)
     assert err.getvalue() == ""
     payload = json.loads(out.getvalue())

@@ -34,7 +34,8 @@ from measpace import (
     transfer_mask,
     validate_kit,
 )
-from measpace import embeddings, jsonio
+from measpace import core, embeddings, jsonio
+from measpace.core import _relabel as relabel, _trace as trace_pass
 
 from support import (
     G,
@@ -333,7 +334,7 @@ def test_a_fast_refusal_without_a_witness_raises(monkeypatch):
     with pytest.raises(InvariantError, match="no condition contradicts"):
         validate_kit(kit)
 
-    monkeypatch.setattr(embeddings, "_trace_space", lambda big, x, target=None: None)
+    monkeypatch.setattr(embeddings, "_trace_space", lambda big, x, target=None: (None, []))
     with pytest.raises(InvariantError, match="no set contradicts"):
         measure_embedding_report(base, base)
 
@@ -816,20 +817,27 @@ def test_construct_extension_refines_the_closure_once(monkeypatch):
 def test_construct_extension_measures_no_set_and_moves_no_pair(monkeypatch):
     kit = _six_atom_kit()
     expected = construct_extension_oracle(kit)
-    moves = []
+    passes, moves = [], []
 
     def refuse(*args, **kwargs):
         raise AssertionError("called by construct_extension")
 
-    def counted(mask, target):
-        moves.append(mask)
-        return transfer_mask(mask, target)
+    def counted_pass(*args):
+        passes.append(args)
+        return trace_pass(*args)
+
+    def counted_move(bits, source, target):
+        moves.append(bits)
+        return relabel(bits, source, target)
 
     monkeypatch.setattr(MeasureSpace, "measure_of", refuse)
-    monkeypatch.setattr(embeddings, "transfer_mask", counted)
+    monkeypatch.setattr(embeddings, "transfer_mask", refuse)
+    monkeypatch.setattr(embeddings, "_trace", counted_pass)
+    monkeypatch.setattr(core, "_relabel", counted_move)
     assert construct_extension(kit) == expected
-    # only the closing embedding check moves sets: one per atom
-    assert len(moves) <= len(expected.algebra.atoms)
+    # only the closing embedding check traces, in one pass that moves each atom once
+    assert len(passes) == 1
+    assert len(moves) == len(expected.algebra.atoms)
 
 
 def test_measure_embedding_report_matches_oracle():
