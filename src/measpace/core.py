@@ -25,11 +25,13 @@ from .partitions import set_partitions
 #: only practical well below this; see ``enumerate_extensions``.
 MAX_POINTS = 16
 
-# Value strings may carry at most this many digits and an exponent of at
-# most this size (CPython's default cap on int <-> str conversion), so
+# Value strings are ASCII (Fraction also reads PEP 515 underscores and other
+# scripts' digits) with at most this many digits and an exponent of at most
+# this size (CPython's default cap on int <-> str conversion), so
 # "1e999999999" is refused before Fraction builds a billion-digit integer.
+_VALUE_CHARS = frozenset("0123456789+-./eE")
 _MAX_DIGITS = 4300
-_EXPONENT = re.compile(r"e([-+]?\d+)$", re.IGNORECASE)
+_EXPONENT = re.compile(r"e([-+]?[0-9]+)$", re.IGNORECASE)
 
 # __init__ stores fields through object's setter: the classes refuse assignment
 _setattr = object.__setattr__
@@ -66,10 +68,24 @@ class _Value:
     value with a dict field is unhashable.  Assignment and deletion raise
     ``AttributeError``; copies and pickles are rebuilt through
     ``__init__``, which checks them again.
+
+    ``_trusted`` is the one construction path that skips ``__init__``,
+    for values whose invariants the library has just checked on raw bits
+    itself (``enumerate_extensions``).
     """
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
+
+    @classmethod
+    def _trusted(cls, first, second):
+        """A value of ``cls`` storing its two fields unchecked.  Only for
+        classes whose slots are exactly their two ``__match_args__``."""
+        value = object.__new__(cls)
+        first_name, second_name = cls.__match_args__
+        _setattr(value, first_name, first)
+        _setattr(value, second_name, second)
+        return value
 
     def _astuple(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])
@@ -136,19 +152,19 @@ class ExtReal(_Value):
         if isinstance(value, Fraction):
             return cls(value)
         if isinstance(value, str):
-            text = value.strip()
+            text = value.strip(" \t\n\r\f\v")
             if text == "inf":
                 return cls(None)
+            if not _VALUE_CHARS.issuperset(text):
+                raise InputFormatError(f"bad measure value {value!r}")
             exponent = _EXPONENT.search(text)
-            if sum(ch.isdigit() for ch in text) > _MAX_DIGITS or (
+            if sum(map(text.count, "0123456789")) > _MAX_DIGITS or (
                 exponent and abs(int(exponent[1])) > _MAX_DIGITS
             ):
                 raise InputFormatError(
                     f"measure value has more than {_MAX_DIGITS} digits "
                     f"or an exponent beyond +-{_MAX_DIGITS}"
                 )
-            if "_" in text:  # Fraction reads PEP 515 underscores from Python 3.11 on
-                raise InputFormatError(f"bad measure value {value!r}")
             try:
                 return cls(Fraction(text))
             except (ValueError, ZeroDivisionError):

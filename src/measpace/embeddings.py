@@ -16,6 +16,8 @@ extension of a base space by finitely many fresh points from the kits.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
+from functools import reduce
+from operator import or_
 
 from .core import (
     MAX_POINTS,
@@ -599,10 +601,11 @@ def enumerate_extensions(
     canonically sorted and uses the canonical ground order (base points
     first, extra points sorted lexicographically).
 
-    Every block tuple already lists its blocks in that atom order, so the
-    listing is sorted on the raw bits, by each block's index tuple,
-    before any object is built.  Then each distinct block becomes one
-    ``SubsetMask``, shared by every space that has it as an atom.
+    Every block tuple already lists its blocks in that atom order, which
+    ``_check_partitions`` confirms on raw ints, so the listing is sorted
+    on one bytes key per tuple before any object is built.  Then each
+    distinct block becomes one ``SubsetMask``, and every space is built
+    unchecked from the masks and one checked values tuple per block count.
     """
     if isinstance(extra_labels, str) or not isinstance(extra_labels, Iterable):
         raise InputFormatError(f"extra labels must be a collection, got {extra_labels!r}")
@@ -628,15 +631,37 @@ def enumerate_extensions(
             for blocks in partitions
             for j in range(len(blocks))
         ] + [blocks + (point,) for blocks in partitions]
+    _check_partitions(partitions, (1 << n) - 1)
+    # indices + 1 then a 0 terminator: bytes order is index-tuple order
     distinct = {bits for blocks in partitions for bits in blocks}
-    keys = {bits: bits_key(bits) for bits in distinct}
-    partitions.sort(key=lambda blocks: tuple(map(keys.__getitem__, blocks)))
+    keys = {bits: bytes(i + 1 for i in bits_key(bits)) + b"\0" for bits in distinct}
+    partitions.sort(key=lambda blocks: b"".join(map(keys.__getitem__, blocks)))
     masks = {bits: SubsetMask(ground, bits) for bits in keys}
     k = len(base.algebra.atoms)
-    return [
-        MeasureSpace(
+    values = {
+        m: MeasureSpace(
             SigmaAlgebra(ground, tuple(map(masks.__getitem__, blocks))),
-            base.atom_values + (ZERO,) * (len(blocks) - k),
-        )
+            base.atom_values + (ZERO,) * (m - k),
+        ).atom_values
+        for m, blocks in {len(blocks): blocks for blocks in partitions}.items()
+    }
+    algebra, space = SigmaAlgebra._trusted, MeasureSpace._trusted
+    return [
+        space(algebra(ground, tuple(map(masks.__getitem__, blocks))), values[len(blocks)])
         for blocks in partitions
     ]
+
+
+def _check_partitions(partitions: list[tuple[int, ...]], full: int) -> None:
+    """Raise ``InvariantError`` unless every block tuple lists nonempty
+    blocks by increasing least bit (all above 0) whose sum and union are
+    both ``full``: then no two overlap and together they cover it.
+    """
+    for blocks in partitions:
+        least = 0
+        for bits in blocks:
+            if (low := bits & -bits) <= least:
+                raise InvariantError(f"generated blocks {blocks} are empty or out of order")
+            least = low
+        if sum(blocks) != full or reduce(or_, blocks, 0) != full:
+            raise InvariantError(f"generated blocks {blocks} overlap or miss a point")

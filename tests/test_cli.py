@@ -217,7 +217,8 @@ def test_error_objects(capsys, tmp_path):
     # numbers too long to parse, build or print: a JSON integer past the
     # interpreter's 4300-digit conversion cap, exponents past that cap,
     # and a product of two 3000-digit values; and a value with a PEP 515
-    # underscore, which is not a decimal or fraction string on any version
+    # underscore or non-ASCII digits, which is not a decimal or fraction
+    # string on any version
     point = {"points": ["a"], "atoms": [["a"]]}
     huge_int = tmp_path / "huge_int.json"
     huge_int.write_text(json.dumps(point)[:-1] + ', "values": [' + "1" * 5000 + "]}")
@@ -226,14 +227,19 @@ def test_error_objects(capsys, tmp_path):
         ("exp.json", "1e400000"),
         ("negexp.json", "1e-400000"),
         ("underscore.json", "1_000"),
+        ("arabic_indic.json", "١٢"),
+        ("arabic_indic_fraction.json", "١/٣"),
+        ("full_width.json", "１"),
     ):
         path = tmp_path / name
         path.write_text(json.dumps({**point, "values": [value]}))
         inputs.append(path)
     for path in inputs:
         code = run(["atoms", "--space", str(path)])
-        err = json.loads(capsys.readouterr().out)["error"]
+        out, stderr = capsys.readouterr()
+        err = json.loads(out)["error"]
         assert code == 2 and err["code"] == "bad-input" and err["path"] == str(path)
+        assert stderr == ""
     left, right = tmp_path / "long_left.json", tmp_path / "long_right.json"
     left.write_text(json.dumps({**point, "values": ["7" * 3000]}))
     right.write_text(json.dumps({"points": ["1"], "atoms": [["1"]], "values": ["3" * 3000]}))

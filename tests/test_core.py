@@ -63,10 +63,13 @@ def test_extreal_conventions():
     assert not INFINITY < INFINITY
 
 
-# "1_000" and kin parse as PEP 515 literals from Python 3.11 on; values are
-# decimal or fraction strings on every version
+# "1_000" and kin parse as PEP 515 literals from Python 3.11 on, and
+# Fraction reads Arabic-Indic or full-width digits and strips non-ASCII
+# spaces; values are ASCII decimal or fraction strings on every version
 @pytest.mark.parametrize(
-    "bad", [-1, "-1/2", "nan", 1.5, "", "1/0", True, "1_000", "1_0/3", "1e1_0"]
+    "bad",
+    [-1, "-1/2", "nan", 1.5, "", "1/0", True, "1_000", "1_0/3", "1e1_0",
+     "١٢", "١/٣", "１", "\u00a01"],
 )
 def test_extreal_rejects(bad):
     with pytest.raises(InputFormatError):

@@ -1,6 +1,12 @@
 """Embedding checks, extension kits, decomposition, enumeration oracle."""
+import copy
+import os
+import pickle
 import random
+import subprocess
+import sys
 from itertools import product as iproduct
+from pathlib import Path
 
 import pytest
 
@@ -505,6 +511,60 @@ def test_enumerate_shares_one_mask_per_block():
         for atom in ext.algebra.atoms:
             assert shared.setdefault(atom.bits, atom) is atom
     assert len(listing) == 37
+
+
+def test_enumerate_builds_what_the_public_constructors_build():
+    # every listed space is built without __init__; it must equal and hash
+    # like the checked rebuild, and pickle and deepcopy (which go through
+    # __init__) must give it back unchanged
+    for base, extras in _enumeration_cases():
+        listing = enumerate_extensions(base, extras)
+        for ext in listing:
+            checked = MeasureSpace(SigmaAlgebra(ext.ground, ext.algebra.atoms), ext.atom_values)
+            assert ext == checked and hash(ext) == hash(checked)
+        assert pickle.loads(pickle.dumps(listing)) == listing
+        assert copy.deepcopy(listing) == listing
+
+
+BROKEN_PARTITIONS = [
+    ((0b011, 0b110), 0b111),  # overlapping
+    ((0b011, 0b010), 0b101),  # overlapping, though their sum is the ground
+    ((0b001, 0b010), 0b111),  # not covering
+    ((0b010, 0b101), 0b111),  # out of order
+    ((0b001, 0, 0b110), 0b111),  # an empty block
+]
+
+
+def test_enumeration_partition_check():
+    check = embeddings._check_partitions
+    check([(0b001, 0b110), (0b101, 0b010), (0b111,)], 0b111)
+    check([()], 0)
+    for blocks, full in BROKEN_PARTITIONS:
+        with pytest.raises(InvariantError):
+            check([(full,), blocks], full)
+
+
+def test_enumeration_partition_check_survives_optimize():
+    # python -O strips assert statements; the check must still raise
+    script = f"""
+from measpace import InvariantError
+from measpace.embeddings import _check_partitions
+for blocks, full in {BROKEN_PARTITIONS!r}:
+    try:
+        _check_partitions([blocks], full)
+    except InvariantError:
+        continue
+    raise SystemExit(f"no InvariantError for {{blocks}}")
+"""
+    src = Path(embeddings.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_enumerate_guards():
