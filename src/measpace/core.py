@@ -19,7 +19,6 @@ from .errors import (
     NotMeasurableError,
     SizeCapError,
 )
-from .partitions import set_partitions
 
 #: Hard cap on ground-set size (bitmask width).  Exhaustive enumeration is
 #: only practical well below this; see ``enumerate_extensions``.
@@ -355,6 +354,30 @@ class SubsetMask(_Value):
         return "{%s}" % ",".join(self.labels())
 
 
+def _unions(atom_bits: Iterable[int]) -> list[int]:
+    """Every union of the given disjoint atoms, as raw bits: entry i is the
+    union of the atoms at the bits of i."""
+    unions = [0]
+    for bits in atom_bits:
+        unions += [u | bits for u in unions]
+    return unions
+
+
+def _partitions(blocks: tuple[int, ...], first: int, n: int) -> Iterator[tuple[int, ...]]:
+    """Every partition of the first ``n`` points that grows ``blocks``, a
+    partition of the points below ``first``, as raw block tuples by least bit,
+    one at a time: the last point joins each partition of the points below it,
+    block by block, then opens its own."""
+    if n == first:
+        yield blocks
+        return
+    point = 1 << (n - 1)
+    for blocks in _partitions(blocks, first, n - 1):
+        for j in range(len(blocks)):
+            yield blocks[:j] + (blocks[j] | point,) + blocks[j + 1 :]
+        yield blocks + (point,)
+
+
 def bits_key(bits: int) -> tuple[int, ...]:
     """The point indices of a raw bitmask, in increasing order."""
     return tuple(i for i in range(bits.bit_length()) if bits >> i & 1)
@@ -437,13 +460,8 @@ class SigmaAlgebra(_Value):
             raise NotMeasurableError(f"set {s!r} is not measurable")
 
     def sets(self) -> Iterator[SubsetMask]:
-        """All measurable sets (unions of atoms), 2**n_atoms of them."""
-        atom_bits = [atom.bits for atom in self.atoms]
-        for combo in range(1 << len(atom_bits)):
-            bits = 0
-            for k, b in enumerate(atom_bits):
-                if combo >> k & 1:
-                    bits |= b
+        """All 2**n_atoms measurable sets: set i is the union of the atoms at the bits of i."""
+        for bits in _unions(atom.bits for atom in self.atoms):
             yield SubsetMask(self.ground, bits)
 
     def sorted_sets(self) -> list[SubsetMask]:
@@ -551,13 +569,9 @@ class MeasureSpace(_Value):
         return self.algebra.ground
 
     def measure_of(self, s: SubsetMask) -> ExtReal:
-        """Sum of atom values over atoms contained in ``s``; inf absorbs."""
+        """Sum of the atom values inside a measurable ``s``; inf absorbs."""
         self.algebra.require_member(s)
-        total = ZERO
-        for atom, value in zip(self.algebra.atoms, self.atom_values):
-            if atom.bits & ~s.bits == 0:
-                total = total + value
-        return total
+        return self.inner_measure(s)
 
     def outer_measure(self, s: SubsetMask) -> ExtReal:
         """min over measurable C >= s of the measure of C.
@@ -615,9 +629,7 @@ class MeasureSpace(_Value):
 
 
 def all_sigma_algebras(ground: GroundSet) -> Iterator[SigmaAlgebra]:
-    """Every sigma-algebra on the ground set, one per set partition."""
-    for blocks in set_partitions(range(ground.size)):
-        atoms = tuple(
-            SubsetMask(ground, sum(1 << i for i in block)) for block in blocks
-        )
-        yield SigmaAlgebra(ground, atoms)
+    """Every sigma-algebra on the ground set, one per set partition, in
+    ``_partitions`` order: trivial first, discrete last."""
+    for blocks in _partitions((), 0, ground.size):
+        yield SigmaAlgebra(ground, tuple(SubsetMask(ground, bits) for bits in blocks))

@@ -28,9 +28,11 @@ from .core import (
     SubsetMask,
     _check_label,
     _ordered,
-    _setattr,
+    _partitions,
     _relabel,
+    _setattr,
     _trace,
+    _unions,
     _Value,
     bits_key,
     generated_atom_bits,
@@ -250,15 +252,6 @@ def _checked(kit: ExtensionKit) -> tuple[list[str], list[int] | None]:
             raise InvariantError("the closure count refused a kit that no condition contradicts")
         problems += closure
     return problems, blocks
-
-
-def _unions(atom_bits: Iterable[int]) -> list[int]:
-    """Every union of the given disjoint atoms, as raw bits: entry i is the
-    union of the atoms at the bits of i."""
-    unions = [0]
-    for bits in atom_bits:
-        unions += [u | bits for u in unions]
-    return unions
 
 
 def _shape_problems(kit: ExtensionKit) -> tuple[list[str], bool]:
@@ -593,9 +586,9 @@ def enumerate_extensions(
 ) -> list[MeasureSpace]:
     """Every extension of the base by the given fresh points.
 
-    Each fresh point, in order, joins a block (a base atom as a fiber
-    point, or an earlier pasted block) or opens a new pasted block, so
-    every extension comes out once.  Atoms sort by least point and the
+    Each fresh point, in order (``core._partitions``), joins a block (a base
+    atom as a fiber point, or an earlier pasted block) or opens a new pasted
+    block, so every extension comes out once.  Atoms sort by least point and the
     base points come first, so the base atoms keep their order and values
     ahead of the pasted atoms, which miss X and are null.  Output is
     canonically sorted and uses the canonical ground order (base points
@@ -623,14 +616,7 @@ def enumerate_extensions(
         )
     ground = GroundSet(tuple(base.ground.labels) + tuple(sorted(extras)))
 
-    partitions = [tuple(atom.bits for atom in base.algebra.atoms)]
-    for i in range(base.ground.size, n):
-        point = 1 << i
-        partitions = [
-            blocks[:j] + (blocks[j] | point,) + blocks[j + 1 :]
-            for blocks in partitions
-            for j in range(len(blocks))
-        ] + [blocks + (point,) for blocks in partitions]
+    partitions = list(_partitions(tuple(a.bits for a in base.algebra.atoms), base.ground.size, n))
     _check_partitions(partitions, (1 << n) - 1)
     # indices + 1 then a 0 terminator: bytes order is index-tuple order
     distinct = {bits for blocks in partitions for bits in blocks}

@@ -1,23 +1,17 @@
-"""Set-partition enumeration for small index sets."""
+"""A view of ``core._partitions`` over arbitrary items.  No library code
+calls it: the benchmark imports this module and times it, and the tests call it."""
 from __future__ import annotations
 
 from typing import Iterator, Sequence, TypeVar
+
+from .core import _partitions, bits_key
 
 T = TypeVar("T")
 
 
 def set_partitions(items: Sequence[T]) -> Iterator[tuple[tuple[T, ...], ...]]:
-    """Yield every partition of ``items`` into nonempty blocks.
-
-    Deterministic order, Bell(len(items)) partitions in total.  The only
-    library caller is ``core.all_sigma_algebras``.
-    """
-    pool = list(items)
-    if not pool:
-        yield ()
-        return
-    head, rest = pool[0], pool[1:]
-    for part in set_partitions(rest):
-        yield ((head,),) + part
-        for i in range(len(part)):
-            yield part[:i] + ((head,) + part[i],) + part[i + 1 :]
+    """Yield every partition of ``items`` into nonempty blocks: Bell(len(items))
+    of them in ``core._partitions`` order, each raw block's items in place of its bits."""
+    pool = tuple(items)
+    for blocks in _partitions((), 0, len(pool)):
+        yield tuple(tuple(pool[i] for i in bits_key(bits)) for bits in blocks)

@@ -1,5 +1,6 @@
 """Core spaces: ground sets, masks, algebras, exact measures."""
 from fractions import Fraction
+import tracemalloc
 from itertools import product as iproduct
 
 import pytest
@@ -24,6 +25,7 @@ from measpace import (
     trace_algebra,
     transfer_mask,
 )
+from measpace.core import _partitions
 from measpace.embeddings import _trace_space
 from measpace.partitions import set_partitions
 
@@ -34,6 +36,7 @@ from support import (
     closure_oracle,
     inner_measure_oracle,
     is_thick_oracle,
+    measure_oracle,
     outer_measure_oracle,
     relabel_oracle,
     rgs_partitions,
@@ -159,6 +162,21 @@ def test_mask_key_and_indices_match_the_range_walk_up_to_10_points():
         for bits in range(1 << n):
             mask = SubsetMask(g, bits)
             assert mask_key(mask) == mask.indices() == _indices_by_range_walk(mask)
+
+
+def test_sets_order_is_the_combo_loop_order_up_to_5_points():
+    # set i is the union of the atoms at the bits of i
+    for n in range(6):
+        g = GroundSet(tuple(f"p{i}" for i in range(n)))
+        for algebra in all_sigma_algebras(g):
+            expected = []
+            for combo in range(1 << len(algebra.atoms)):
+                bits = 0
+                for k, atom in enumerate(algebra.atoms):
+                    if combo >> k & 1:
+                        bits |= atom.bits
+                expected.append(SubsetMask(g, bits))
+            assert list(algebra.sets()) == expected
 
 
 def test_sorted_sets_order_is_the_range_walk_order():
@@ -292,6 +310,8 @@ def test_measure_of_examples():
     assert ms_frac.measure_of(g.mask(["b", "c"])) == ExtReal.of("2/3")
     with pytest.raises(NotMeasurableError):
         ms.measure_of(g.mask(["b"]))
+    with pytest.raises(GroundMismatchError):
+        ms.measure_of(G("a", "b").full)
 
 
 def test_measure_space_refuses_a_wrong_value_count():
@@ -382,7 +402,8 @@ def test_inner_below_outer_with_equality_on_measurable():
 
 
 def test_inner_outer_thick_match_scans_up_to_4():
-    # every subset of every space on up to 4 points, values in {0, 1, 2, inf}
+    # every subset of every space on up to 4 points, values in {0, 1, 2, inf};
+    # measure_of sums atom by atom and refuses a set that is not measurable
     values = (ZERO, ONE, ExtReal.of(2), INFINITY)
     spaces = 0
     for n in range(5):
@@ -396,6 +417,11 @@ def test_inner_outer_thick_match_scans_up_to_4():
                     assert ms.outer_measure(s) == outer_measure_oracle(ms, s)
                     assert ms.inner_measure(s) == inner_measure_oracle(ms, s)
                     assert ms.is_thick(s) == is_thick_oracle(ms, s)
+                    if algebra.member(s):
+                        assert ms.measure_of(s) == measure_oracle(ms, s)
+                    else:
+                        with pytest.raises(NotMeasurableError):
+                            ms.measure_of(s)
     assert spaces == 1 + 4 + 20 + 116 + 756
 
 
@@ -422,11 +448,63 @@ def test_measure_additivity_random_spaces(n, data):
 
 # ------------------------------------------------------------- partitions
 
+BELL = [1, 1, 2, 5, 15, 52, 203, 877]
+
+
+def _as_bits(blocks):
+    return tuple(sum(1 << i for i in block) for block in blocks)
+
+
 def test_set_partition_counts_are_bell_numbers():
-    for n, bell in enumerate([1, 1, 2, 5, 15, 52]):
+    for n, bell in enumerate(BELL[:6]):
         parts = list(set_partitions(range(n)))
         assert len(parts) == bell
         assert len(set(tuple(sorted(tuple(sorted(b)) for b in p)) for p in parts)) == bell
+    # the view puts the items at the bits of each raw block
+    assert {frozenset(p) for p in set_partitions("abcd")} == {
+        frozenset(tuple("abcd"[i] for i in b) for b in p) for p in rgs_partitions(4)
+    }
+
+
+def test_partitions_grow_every_start_partition_like_restricted_growth_strings():
+    # every partition of the first m <= 4 points as start blocks, every n <= 7
+    rgs = [[_as_bits(p) for p in rgs_partitions(n)] for n in range(8)]
+    compared = 0
+    for m in range(5):
+        low = (1 << m) - 1
+        for start in rgs[m]:
+            for n in range(m, 8):
+                grown = list(_partitions(start, m, n))
+                assert len(set(grown)) == len(grown)
+                for blocks in grown:
+                    leasts = [bits & -bits for bits in blocks]
+                    assert all(leasts) and leasts == sorted(set(leasts))
+                    assert tuple(b & low for b in blocks[: len(start)]) == start
+                expected = [p for p in rgs[n] if tuple(b & low for b in p if b & low) == start]
+                assert set(grown) == set(expected)
+                compared += len(grown)
+    # for each m the starts share out every partition of n points: sum of Bell(n), m <= n <= 7
+    assert compared == 5764
+
+
+def test_all_sigma_algebras_yields_bell_many_distinct_algebras_up_to_6_points():
+    for n in range(7):
+        algebras = list(all_sigma_algebras(GroundSet(tuple("abcdef"[:n]))))
+        assert len(algebras) == len(set(algebras)) == BELL[n]
+
+
+def test_all_sigma_algebras_streams_trivial_first():
+    # Bell(10) = 115,975 partitions: the first must come without building the rest
+    g = GroundSet(tuple("abcdefghij"))
+    tracemalloc.start()
+    try:
+        first = next(all_sigma_algebras(g))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first.atoms == (g.full,)
+    assert peak < 100_000
+    assert next(set_partitions("abc")) == (("a", "b", "c"),)
 
 
 def test_trace_algebra_atoms():

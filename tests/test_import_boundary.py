@@ -50,6 +50,7 @@ PINNED_ALL = [
 # the CLI module itself runs as __main__
 CORE_ONLY = {"measpace.core", "measpace.jsonio"}
 EMBEDDINGS, FILTERS, PRODUCTS = "measpace.embeddings", "measpace.filters", "measpace.products"
+PARTITIONS = "measpace.partitions"
 
 
 def _child(code: str, *args: str) -> dict:
@@ -69,12 +70,14 @@ def fx(name: str) -> str:
 
 
 VERB_CASES = [
-    (["atoms", "--space", fx("space1.json")], CORE_ONLY, {EMBEDDINGS, FILTERS, PRODUCTS}),
+    (["atoms", "--space", fx("space1.json")], CORE_ONLY,
+     {EMBEDDINGS, FILTERS, PRODUCTS, PARTITIONS}),
     (["measure", "--space", fx("space1.json"), "--set", '["b","c"]'], CORE_ONLY,
-     {EMBEDDINGS, FILTERS, PRODUCTS}),
+     {EMBEDDINGS, FILTERS, PRODUCTS, PARTITIONS}),
     (["thick", "--space", fx("big_y.json"), "--set", '["a"]'], CORE_ONLY,
-     {EMBEDDINGS, FILTERS, PRODUCTS}),
-    (["generate", "--space", fx("generators.json")], CORE_ONLY, {EMBEDDINGS, FILTERS, PRODUCTS}),
+     {EMBEDDINGS, FILTERS, PRODUCTS, PARTITIONS}),
+    (["generate", "--space", fx("generators.json")], CORE_ONLY,
+     {EMBEDDINGS, FILTERS, PRODUCTS, PARTITIONS}),
     (["check-embed", "--small", fx("small_x.json"), "--big", fx("big_y.json")], {EMBEDDINGS},
      {FILTERS, PRODUCTS}),
     (["validate-kit", "--kit", fx("kit_identity.json")], {EMBEDDINGS}, {FILTERS, PRODUCTS}),
@@ -111,6 +114,14 @@ def test_importing_the_package_loads_no_submodule():
     modules = _child(code)
     assert [m for m in modules if m.startswith("measpace")] == ["measpace"]
     assert "dataclasses" not in modules
+
+
+def test_importing_core_loads_only_errors_and_core():
+    code = "import json, sys, measpace.core; print(json.dumps(sorted(sys.modules)))"
+    modules = _child(code)
+    assert [m for m in modules if m.startswith("measpace")] == [
+        "measpace", "measpace.core", "measpace.errors",
+    ]
 
 
 def test_all_is_pinned_and_every_name_resolves_in_a_fresh_process():
