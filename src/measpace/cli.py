@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import jsonio
-from .core import ZERO, GroundSet, generate_sigma_algebra
+from .core import ZERO, generate_sigma_algebra
 from .errors import InputFormatError, MeaspaceError
 
 
@@ -67,26 +67,13 @@ def _set_arg(args) -> list[str]:
 
 # ------------------------------------------------------------- handlers
 
-def _generators_from_obj(raw):
-    if not isinstance(raw, dict):
-        raise InputFormatError("generate input must be a JSON object")
-    ground = GroundSet(tuple(jsonio._string_list(raw.get("points"), "points")))
-    gens_raw = raw.get("generators", [])
-    if not isinstance(gens_raw, list):
-        raise InputFormatError("generators must be a list of label lists")
-    return ground, [jsonio.mask_from_obj(ground, g, "generators") for g in gens_raw]
-
-
 def _cmd_generate(args):
-    ground, gens = _load(args.space, _generators_from_obj)
+    ground, gens = _load(args.space, jsonio.generators_from_obj)
     return 0, jsonio.algebra_to_obj(generate_sigma_algebra(ground, gens))
 
 
 def _cmd_atoms(args):
-    loaded = _load(args.space, jsonio.optional_space_from_obj)
-    if hasattr(loaded, "atom_values"):
-        return 0, jsonio.space_to_obj(loaded)
-    return 0, jsonio.algebra_to_obj(loaded)
+    return 0, jsonio.optional_space_to_obj(*_load(args.space, jsonio.optional_space_from_obj))
 
 
 def _measure_like(args, op):
@@ -123,36 +110,24 @@ def _cmd_thick(args):
 def _cmd_ultrafilters(args):
     from .filters import enumerate_ultrafilters
 
-    loaded = _load(args.space, jsonio.optional_space_from_obj)
-    if hasattr(loaded, "atom_values"):
-        space_obj, algebra = jsonio.space_to_obj(loaded), loaded.algebra
-    else:
-        space_obj, algebra = jsonio.algebra_to_obj(loaded), loaded
-    records = enumerate_ultrafilters(algebra)
+    algebra, ms = _load(args.space, jsonio.optional_space_from_obj)
+    space_obj = jsonio.optional_space_to_obj(algebra, ms)
     items = []
-    for record in records:
-        obj = jsonio.record_to_obj(record)
+    for record in enumerate_ultrafilters(algebra):
+        obj = jsonio.record_to_obj(record, space_obj)
         del obj["space"]
         items.append(obj)
     return 0, {"space": space_obj, "count": len(items), "ultrafilters": items}
 
 
-def _cmd_classify_family(args):
-    from .filters import classify_family
+def _cmd_family(args):
+    """classify-family and extend-uf: the record of the family, or of its extension."""
+    from .filters import classify_family, extend_to_ultrafilter
 
+    op = classify_family if args.verb == "classify-family" else extend_to_ultrafilter
     family, ms = _load(args.space, jsonio.family_from_obj)
-    record = classify_family(family)
-    space_obj = jsonio.space_to_obj(ms) if ms is not None else None
-    return 0, jsonio.record_to_obj(record, space_obj)
-
-
-def _cmd_extend_uf(args):
-    from .filters import extend_to_ultrafilter
-
-    family, ms = _load(args.space, jsonio.family_from_obj)
-    record = extend_to_ultrafilter(family)
-    space_obj = jsonio.space_to_obj(ms) if ms is not None else None
-    return 0, jsonio.record_to_obj(record, space_obj)
+    space_obj = jsonio.optional_space_to_obj(family.algebra, ms)
+    return 0, jsonio.record_to_obj(op(family), space_obj)
 
 
 def _cmd_uf_to_measure(args):
@@ -263,16 +238,10 @@ def _cmd_lift_uf(args):
     return 0, jsonio.record_to_obj(lifted, jsonio.product_to_obj(ps))
 
 
-def _product_record_from_obj(raw):
-    if not isinstance(raw, dict):
-        raise InputFormatError("project-uf input must be a JSON object")
-    return jsonio.product_from_obj(raw.get("space")), jsonio.record_from_obj(raw)[0]
-
-
 def _cmd_project_uf(args):
     from .products import project_ultrafilter
 
-    ps, record = _load(args.space, _product_record_from_obj)
+    ps, record = _load(args.space, jsonio.product_record_from_obj)
     left, right = project_ultrafilter(ps, record)
     return 0, {
         "left": jsonio.record_to_obj(left, jsonio.space_to_obj(ps.left)),
@@ -288,8 +257,8 @@ _VERBS = {
     "outer": (_cmd_outer, ["space", "set"]),
     "thick": (_cmd_thick, ["space", "set"]),
     "ultrafilters": (_cmd_ultrafilters, ["space"]),
-    "classify-family": (_cmd_classify_family, ["space"]),
-    "extend-uf": (_cmd_extend_uf, ["space"]),
+    "classify-family": (_cmd_family, ["space"]),
+    "extend-uf": (_cmd_family, ["space"]),
     "uf-to-measure": (_cmd_uf_to_measure, ["space"]),
     "measure-to-uf": (_cmd_measure_to_uf, ["space"]),
     "check-embed": (_cmd_check_embed, ["small", "big"]),

@@ -209,6 +209,8 @@ def auto_fibers(sizes: Mapping[SubsetMask, int]) -> dict[SubsetMask, tuple[str, 
             raise InputFormatError(f"fiber sizes must be integers, got {size!r}")
         if size < 1:
             raise InputFormatError("fiber sizes must be at least 1")
+        if size > MAX_POINTS:
+            raise SizeCapError(f"fiber sizes must be at most {MAX_POINTS}, the point cap")
         if not isinstance(kernel, SubsetMask) or not kernel:
             raise InputFormatError(f"a fiber kernel must be a nonempty SubsetMask, got {kernel!r}")
         u = kernel.labels()[0]

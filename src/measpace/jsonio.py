@@ -80,48 +80,69 @@ def space_to_obj(ms: MeasureSpace) -> dict:
     return obj
 
 
-def algebra_from_obj(raw: Any, what: str = "space") -> SigmaAlgebra:
+def _atoms_from_obj(raw: Any, what: str) -> tuple[GroundSet, tuple[SubsetMask, ...]]:
+    """The ground and the atoms of a space or algebra object, atoms in the order written."""
     if not isinstance(raw, dict):
         raise InputFormatError(f"{what} must be a JSON object")
     ground = GroundSet(tuple(_string_list(raw.get("points"), f"{what}.points")))
     atoms_raw = raw.get("atoms")
     if not isinstance(atoms_raw, list):
         raise InputFormatError(f"{what}.atoms must be a list of label lists")
-    atoms = tuple(
+    return ground, tuple(
         mask_from_obj(ground, a, f"{what}.atoms[{i}]") for i, a in enumerate(atoms_raw)
     )
-    return SigmaAlgebra(ground, atoms)
+
+
+def algebra_from_obj(raw: Any, what: str = "space") -> SigmaAlgebra:
+    return SigmaAlgebra(*_atoms_from_obj(raw, what))
 
 
 def space_from_obj(raw: Any, what: str = "space") -> MeasureSpace:
-    algebra = algebra_from_obj(raw, what)
+    ground, atoms = _atoms_from_obj(raw, what)
+    algebra = SigmaAlgebra(ground, atoms)
     values_raw = raw.get("values")
     if not isinstance(values_raw, list):
         raise InputFormatError(f"{what}.values must be a list")
-    if len(values_raw) != len(raw["atoms"]):
+    if len(values_raw) != len(atoms):
         raise InputFormatError(f"{what}.values must match the atoms one to one")
     # values are paired with atoms as written, then stored canonically
-    ground = algebra.ground
-    pairs = {
-        mask_from_obj(ground, a, f"{what}.atoms"): value_from_obj(v)
-        for a, v in zip(raw["atoms"], values_raw)
-    }
-    return MeasureSpace(algebra, tuple(pairs[a] for a in algebra.atoms))
+    value_of = dict(zip(atoms, map(value_from_obj, values_raw)))
+    return MeasureSpace(algebra, tuple(value_of[a] for a in algebra.atoms))
 
 
-def optional_space_from_obj(raw: Any, what: str = "space"):
-    """MeasureSpace when "values" is present, else SigmaAlgebra."""
+def optional_space_to_obj(algebra: SigmaAlgebra, ms: MeasureSpace | None) -> dict:
+    """The object of ``ms`` when it is given, else of ``algebra``."""
+    return space_to_obj(ms) if ms is not None else algebra_to_obj(algebra)
+
+
+def optional_space_from_obj(
+    raw: Any, what: str = "space"
+) -> tuple[SigmaAlgebra, MeasureSpace | None]:
+    """The algebra, and the space too when "values" is present."""
     if isinstance(raw, dict) and "values" in raw:
-        return space_from_obj(raw, what)
-    return algebra_from_obj(raw, what)
+        ms = space_from_obj(raw, what)
+        return ms.algebra, ms
+    return algebra_from_obj(raw, what), None
+
+
+def generators_from_obj(raw: Any) -> tuple[GroundSet, list[SubsetMask]]:
+    """The ground and the generating sets of a ``generate`` input."""
+    if not isinstance(raw, dict):
+        raise InputFormatError("generate input must be a JSON object")
+    ground = GroundSet(tuple(_string_list(raw.get("points"), "points")))
+    gens_raw = raw.get("generators", [])
+    if not isinstance(gens_raw, list):
+        raise InputFormatError("generators must be a list of label lists")
+    return ground, [mask_from_obj(ground, g, "generators") for g in gens_raw]
 
 
 # ---------------------------------------------------------------- families
 
 def family_to_obj(family: SetFamily, space_obj: dict | None = None) -> dict:
+    labels = family.algebra.ground.labels
     return {
         "space": space_obj if space_obj is not None else algebra_to_obj(family.algebra),
-        "members": [labels_list(m) for m in family.sorted_members()],
+        "members": [[labels[i] for i in key] for key in sorted(map(mask_key, family.members))],
     }
 
 
@@ -131,9 +152,7 @@ def family_from_obj(raw: Any) -> tuple[SetFamily, MeasureSpace | None]:
 
     if not isinstance(raw, dict):
         raise InputFormatError("family must be a JSON object")
-    loaded = optional_space_from_obj(raw.get("space"), "family.space")
-    ms = loaded if isinstance(loaded, MeasureSpace) else None
-    algebra = loaded.algebra if ms is not None else loaded
+    algebra, ms = optional_space_from_obj(raw.get("space"), "family.space")
     members_raw = raw.get("members")
     if not isinstance(members_raw, list):
         raise InputFormatError("family.members must be a list of label lists")
@@ -192,10 +211,12 @@ def _masks_from_dict_keys(ground: GroundSet, raw: dict, what: str):
 
 
 def kit_to_obj(kit: ExtensionKit) -> dict:
-    dfamily = {
-        _mask_dict_key(b): [labels_list(d) for d in sorted(ds, key=mask_key)]
-        for b, ds in kit.dfamily.items()
+    # a decomposed kit shares one pasted family across all its base sets
+    listed = {
+        ds: [labels_list(d) for d in sorted(ds, key=mask_key)]
+        for ds in set(kit.dfamily.values())
     }
+    dfamily = {_mask_dict_key(b): listed[ds] for b, ds in kit.dfamily.items()}
     fibers = {
         _mask_dict_key(kernel): list(labels)
         for kernel, labels in kit.fibers.items()
@@ -272,3 +293,10 @@ def product_from_obj(raw: Any) -> ProductSpace:
     if declared != ps.product:
         raise InputFormatError("declared product does not match its factors")
     return ps
+
+
+def product_record_from_obj(raw: Any) -> tuple[ProductSpace, UltrafilterRecord]:
+    """A ``project-uf`` input: a record whose "space" is a product."""
+    if not isinstance(raw, dict):
+        raise InputFormatError("project-uf input must be a JSON object")
+    return product_from_obj(raw.get("space")), record_from_obj(raw)[0]

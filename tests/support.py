@@ -824,3 +824,18 @@ def enumerate_extensions_oracle(
         out.append(MeasureSpace(algebra, values))
     out.sort(key=lambda ms: tuple(atom.indices() for atom in ms.algebra.atoms))
     return out
+
+
+def family_members_oracle(family: SetFamily) -> list[list[str]]:
+    """The "members" list ``family_to_obj`` owes: the members sorted by
+    ``mask_key``, each written as its own labels."""
+    return [list(m.labels()) for m in sorted(family.members, key=mask_key)]
+
+
+def kit_dfamily_oracle(kit: ExtensionKit) -> dict[str, list[list[str]]]:
+    """The "dfamily" object ``kit_to_obj`` owes: under each base set's key,
+    its own family sorted by ``mask_key``, each member written as its labels."""
+    return {
+        ",".join(b.labels()): [list(d.labels()) for d in sorted(ds, key=mask_key)]
+        for b, ds in kit.dfamily.items()
+    }

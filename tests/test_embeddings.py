@@ -5,6 +5,7 @@ import pickle
 import random
 import subprocess
 import sys
+from functools import cache
 from itertools import product as iproduct
 from pathlib import Path
 
@@ -54,6 +55,7 @@ from support import (
     embedding_report_oracle,
     enumerate_extensions_oracle,
     induced_base_oracle,
+    kit_dfamily_oracle,
     outcome,
     rgs_partitions,
     small_kits,
@@ -310,6 +312,18 @@ def test_auto_fibers_refuses_a_bad_size_or_kernel(kernel, size, message):
     kernel = {"atom": base.algebra.atoms[0], "empty": base.ground.empty}.get(kernel, kernel)
     with pytest.raises(InputFormatError, match=message):
         auto_fibers(size if kernel == "sizes" else {kernel: size})
+
+
+@pytest.mark.parametrize(
+    "size", [core.MAX_POINTS + 1, 200_000, 10**9, 10**5000], ids=["17", "2e5", "1e9", "1e5000"]
+)
+def test_auto_fibers_refuses_a_size_past_the_point_cap(size):
+    # no extension past the cap can be built, yet every label used to be
+    # built first: 13 MB at 200,000 points, all memory at 10**9
+    atom = one_point_base().algebra.atoms[0]
+    with pytest.raises(SizeCapError, match="fiber sizes must be at most 16"):
+        auto_fibers({atom: size})
+    assert len(auto_fibers({atom: core.MAX_POINTS})[atom]) == core.MAX_POINTS
 
 
 def test_construct_checks_its_result_without_assert(monkeypatch):
@@ -687,22 +701,34 @@ def _foreign(kit):
                 )
 
 
+@cache
+def _criterion_4_cases():
+    """(kit, oracle problems, mutation) for every criterion-4 kit, each
+    valid one followed by its single-set mutants: mutation is None for a
+    kit of ``small_kits()``, else "toggled" or "foreign".  The oracle runs
+    once per session, for every test that reads these cases."""
+    cases = []
+    for kit in small_kits():
+        expected = validate_kit_oracle(kit)
+        cases.append((kit, expected, None))
+        if not expected:
+            cases += [(m, validate_kit_oracle(m), "toggled") for m in _toggled(kit)]
+            cases += [(m, validate_kit_oracle(m), "foreign") for m in _foreign(kit)]
+    return cases
+
+
 def test_validate_kit_matches_oracle_on_criterion_4_kits():
     # every criterion-4 kit, and every single-set mutation of the valid
     # ones, with a set moved onto a foreign ground among them
     valid = invalid = foreign = 0
-    for kit in small_kits():
+    for kit, expected, mutation in _criterion_4_cases():
         problems = validate_kit(kit)
-        assert problems == validate_kit_oracle(kit)
-        if problems:
-            invalid += 1
-            continue
-        valid += 1
-        for mutant in _toggled(kit):
-            assert validate_kit(mutant) == validate_kit_oracle(mutant)
-        for mutant in _foreign(kit):
-            problems = validate_kit(mutant)
-            assert problems and problems == validate_kit_oracle(mutant)
+        assert problems == expected
+        if mutation is None:
+            valid += not problems
+            invalid += bool(problems)
+        elif mutation == "foreign":
+            assert problems
             foreign += 1
     assert valid > 100 and invalid > 100 and foreign > 1000
 
@@ -783,13 +809,9 @@ def test_validate_kit_matches_oracle_with_many_failures_per_condition():
 
 def test_validate_kit_never_walks_an_algebra(monkeypatch):
     # every criterion-4 kit and every single-set mutation of the valid
-    # ones, refused ones included, is listed without SigmaAlgebra.sets()
-    cases = []
-    for kit in small_kits():
-        expected = validate_kit_oracle(kit)
-        cases.append((kit, expected))
-        if not expected:
-            cases += [(m, validate_kit_oracle(m)) for m in (*_toggled(kit), *_foreign(kit))]
+    # ones, refused ones included, is listed without SigmaAlgebra.sets();
+    # the oracle walks algebras, so its cases are built before the patch
+    cases = _criterion_4_cases()
 
     def refuse(*args, **kwargs):
         raise AssertionError("validate_kit walked an algebra")
@@ -797,7 +819,7 @@ def test_validate_kit_never_walks_an_algebra(monkeypatch):
     monkeypatch.setattr(SigmaAlgebra, "sets", refuse)
     monkeypatch.setattr(SigmaAlgebra, "sorted_sets", refuse)
     refused = 0
-    for kit, expected in cases:
+    for kit, expected, _ in cases:
         assert validate_kit(kit) == expected
         refused += bool(expected)
     assert refused > 1000
@@ -816,9 +838,15 @@ def test_construct_extension_matches_oracle():
     # every criterion-4 kit (refused ones too), and the canonical kit of
     # every extension up to 5 points, which rebuilds that extension
     built = 0
-    for kit in small_kits():
+    for kit, problems, mutation in _criterion_4_cases():
+        if mutation is not None:
+            continue
         got = _built(construct_extension, kit)
-        assert got == _built(construct_extension_oracle, kit)
+        # construct_extension_oracle refuses a kit with exactly the oracle's problems
+        if problems:
+            assert got == (InvalidKitError, str(InvalidKitError(problems)))
+        else:
+            assert got == construct_extension_oracle(kit)
         built += isinstance(got, MeasureSpace)
     assert built > 100
     seen = 0
@@ -956,11 +984,15 @@ def test_classify_outside_points_matches_oracle():
 
 
 def test_classify_and_decompose_serialize_outside_points_alike():
+    # the decomposed kit shares one pasted family across its base sets,
+    # and its "dfamily" lists that family under every key as the oracle does
     seen = 0
     for ext, x in _extensions_both_ways_up_to(5):
         classes = jsonio.outside_points_to_obj(classify_outside_points(ext, x))
-        record = jsonio.decomposition_to_obj(decompose_extension(ext, x))
+        decomposed = decompose_extension(ext, x)
+        record = jsonio.decomposition_to_obj(decomposed)
         assert classes == record["point_assignment"]
+        assert record["dfamily"] == kit_dfamily_oracle(decomposed.kit)
         seen += 1
     assert seen == 2 * 221
 

@@ -19,12 +19,14 @@ from measpace import (
     enumerate_ultrafilters,
     extend_to_ultrafilter,
     lift_to_superspace,
+    mask_key,
     measure_from_ultrafilter,
     principal_ultrafilter,
     restrict_by_trace,
     trace_algebra,
     ultrafilter_from_01_measure,
 )
+from measpace.jsonio import family_to_obj
 
 from support import (
     G,
@@ -35,6 +37,7 @@ from support import (
     check_union_membership,
     classify_family_oracle,
     extend_to_ultrafilter_oracle,
+    family_members_oracle,
     has_cip_oracle,
     lift_to_superspace_oracle,
     outcome,
@@ -104,15 +107,22 @@ def test_cip_flag_agrees_with_subfamily_oracle():
 
 def test_classify_and_extend_match_oracle_on_every_family_up_to_4():
     # extension is compared on every filter-base, and on up to 3 points on
-    # every family, which reaches each of its three refusals
+    # every family, which reaches each of its three refusals; each family's
+    # JSON member list is the oracle's list of all sets, cut down to it (an
+    # empty space object spares serializing the algebra 67,522 times)
     families = 0
     for algebra in _algebras_up_to(4):
         sets = list(algebra.sets())
+        every_set = SetFamily(algebra, frozenset(sets))
+        order = sorted(range(len(sets)), key=lambda i: mask_key(sets[i]))
+        listed = list(zip(order, family_members_oracle(every_set)))
         for bitmap in range(1 << len(sets)):
             members = frozenset(s for i, s in enumerate(sets) if bitmap >> i & 1)
             family = SetFamily(algebra, members)
             expected = classify_family_oracle(family)
             assert classify_family(family) == expected
+            members_obj = family_to_obj(family, {})["members"]
+            assert members_obj == [m for i, m in listed if bitmap >> i & 1]
             if expected.is_filter_base or algebra.ground.size < 4:
                 assert outcome(extend_to_ultrafilter, family) == outcome(
                     extend_to_ultrafilter_oracle, family

@@ -5,8 +5,10 @@ import pytest
 
 from measpace import (
     ExtensionKit,
+    GroundSet,
     InputFormatError,
     SetFamily,
+    all_sigma_algebras,
     classify_family,
     decompose_extension,
     enumerate_ultrafilters,
@@ -23,6 +25,7 @@ from measpace.jsonio import (
     family_to_obj,
     kit_from_obj,
     kit_to_obj,
+    optional_space_from_obj,
     product_from_obj,
     product_to_obj,
     record_from_obj,
@@ -31,7 +34,7 @@ from measpace.jsonio import (
     space_to_obj,
 )
 
-from support import G, alg, space
+from support import G, alg, family_members_oracle, kit_dfamily_oracle, space
 
 
 def test_space_round_trip_and_canonical_atom_order():
@@ -50,6 +53,21 @@ def test_space_round_trip_and_canonical_atom_order():
     assert space_from_obj(out) == ms
     # a second canonicalization pass is byte-stable
     assert canonical_dumps(space_to_obj(space_from_obj(out))) == canonical_dumps(out)
+    # five atoms written out of order: each value stays with its own atom
+    scrambled = {
+        "points": ["a", "b", "c", "d", "e", "f"],
+        "atoms": [["f"], ["c", "a"], ["e"], ["b"], ["d"]],
+        "values": ["5", "1", "4", "2", "inf"],
+    }
+    assert space_to_obj(space_from_obj(scrambled))["values"] == ["1", "2", "inf", "4", "5"]
+
+
+def test_optional_space_from_obj_returns_the_algebra_and_the_space_if_any():
+    ms = space(G("a", "b"), (["a"], ["b"]), (1, 0))
+    assert optional_space_from_obj(space_to_obj(ms)) == (ms.algebra, ms)
+    assert optional_space_from_obj(algebra_to_obj(ms.algebra)) == (ms.algebra, None)
+    with pytest.raises(InputFormatError, match="family.space must be a JSON object"):
+        optional_space_from_obj([], "family.space")
 
 
 def test_space_rejects_floats_and_negatives():
@@ -98,6 +116,17 @@ def test_record_kernel_must_be_a_label_list():
             record_from_obj({**robj, "kernel": kernel})
 
 
+def test_record_members_match_the_oracle_on_every_ultrafilter_up_to_5():
+    records = 0
+    for n in range(6):
+        for algebra in all_sigma_algebras(GroundSet(tuple("abcde"[:n]))):
+            for record in enumerate_ultrafilters(algebra):
+                assert record_to_obj(record)["members"] == family_members_oracle(record.family)
+                records += 1
+    # Bell(n + 1) - Bell(n) atoms over the partitions of n points
+    assert records == 0 + 1 + 3 + 10 + 37 + 151
+
+
 def test_family_space_may_carry_values():
     ms = space(G("a", "b"), (["a"], ["b"]), (1, 0))
     obj = {"space": space_to_obj(ms), "members": [["a"]]}
@@ -122,6 +151,31 @@ def test_kit_round_trip():
     assert kit_from_obj(obj) == kit
 
     assert kit_from_obj(kit_to_obj(identity_kit(base))) == identity_kit(base)
+
+
+def test_kit_lists_each_family_under_its_own_keys():
+    base = space(G("a", "b"), (["a"], ["b"]), (1, 2))
+    zg = G("z", "w")
+    pasted = alg(zg, ["z"], ["w"])
+    empty, z, w, zw = pasted.sets()
+    # {a} and {b} hold equal but distinct objects, built in another order
+    dfamily = {
+        base.ground.empty: frozenset([empty]),
+        base.ground.mask(["a"]): frozenset([zw, empty, w]),
+        base.ground.mask(["b"]): frozenset([w, zw, empty]),
+        base.ground.full: frozenset([w, z, zw, empty]),
+    }
+    kit = ExtensionKit(base, pasted, dfamily, {})
+    assert len({id(ds) for ds in kit.dfamily.values()}) == 4
+    obj = kit_to_obj(kit)
+    assert obj["dfamily"] == kit_dfamily_oracle(kit)
+    assert obj["dfamily"] == {
+        "": [[]],
+        "a": [[], ["z", "w"], ["w"]],
+        "b": [[], ["z", "w"], ["w"]],
+        "a,b": [[], ["z"], ["z", "w"], ["w"]],
+    }
+    assert kit_from_obj(obj) == kit
 
 
 def test_kit_keys_naming_one_set_are_rejected():
