@@ -378,8 +378,23 @@ def _partitions(blocks: tuple[int, ...], first: int, n: int) -> Iterator[tuple[i
         yield blocks + (point,)
 
 
+def _byte_keys(first: int) -> tuple[tuple[int, ...], ...]:
+    """Entry i is ``bits_key(i << first)`` for each byte i, built by
+    doubling as ``_unions`` builds its list."""
+    keys = [()]
+    for i in range(first, first + 8):
+        keys += [key + (i,) for key in keys]
+    return tuple(keys)
+
+
+# masks fit in two bytes (MAX_POINTS): a low and a high byte lookup
+_LOW_KEYS, _HIGH_KEYS = _byte_keys(0), _byte_keys(8)
+
+
 def bits_key(bits: int) -> tuple[int, ...]:
     """The point indices of a raw bitmask, in increasing order."""
+    if not bits >> 16:  # 0 <= bits < 2**16
+        return _LOW_KEYS[bits & 255] + _HIGH_KEYS[bits >> 8]
     return tuple(i for i in range(bits.bit_length()) if bits >> i & 1)
 
 
@@ -488,15 +503,27 @@ def generate_sigma_algebra(
     return SigmaAlgebra(ground, tuple(SubsetMask(ground, bits) for bits in atoms))
 
 
-def generated_atom_bits(size: int, generator_bits: Iterable[int]) -> list[int]:
+def generated_atom_bits(
+    size: int, generator_bits: Iterable[int], most: int | None = None
+) -> list[int]:
     """Atoms, as raw bitmasks, of the algebra raw generators span on ``size`` points.
 
     Each generator splits every block into its inside and its outside, so
     the blocks left at the end are the classes of points no generator
     separates.  The algebra has exactly 2**len(result) sets.
+
+    ``most`` (default ``size``) bounds the blocks the generators can
+    reach: every generator must be a union of some ``most`` disjoint cells
+    covering the points (``size`` singletons always are).  Every block is
+    then a union of cells, so once there are ``most`` blocks each one is a
+    single cell, no generator can split it, and the rest are skipped.
     """
     blocks = [(1 << size) - 1] if size else []
+    if most is None:
+        most = size
     for g in generator_bits:
+        if len(blocks) >= most:
+            break
         blocks = [part for b in blocks for part in (b & g, b & ~g) if part]
     return blocks
 

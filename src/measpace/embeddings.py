@@ -159,13 +159,21 @@ class ExtensionKit(_Value):
                 f"a kit's dfamily and fibers must be mappings, got {dfamily!r} and {fibers!r}"
             )
         families = {}
+        # a family object shared by many keys is checked once; each entry
+        # holds its object, so no later family can take over its id
+        checked: dict[int, tuple] = {}
         for key, members in dfamily.items():
-            if not isinstance(members, Iterable):
-                raise InputFormatError(f"the pasted family of {key!r} is not a collection")
-            families[key] = members = frozenset(members)
-            for mask in (key, *members):
+            if id(members) in checked:
+                family, unchecked = checked[id(members)][1], ()
+            else:
+                if not isinstance(members, Iterable):
+                    raise InputFormatError(f"the pasted family of {key!r} is not a collection")
+                family = unchecked = frozenset(members)
+                checked[id(members)] = members, family
+            for mask in (key, *unchecked):
                 if not isinstance(mask, SubsetMask):
                     raise InputFormatError(f"a kit's dfamily must hold SubsetMasks, got {mask!r}")
+            families[key] = family
         fiber_labels = {}
         for kernel, labels in fibers.items():
             fiber_labels[kernel] = labels = _ordered(labels, "fiber labels")
@@ -285,9 +293,10 @@ def _shape_problems(kit: ExtensionKit) -> tuple[list[str], bool]:
         b for b in scan if not (b.ground is x or b.ground == x) or b.bits not in measurable
     ]
     z_measurable = set(_unions(atom.bits for atom in pasted.atoms))
+    # equal families are unioned once, a family shared by every key too
     wrong = {
         d
-        for d in set().union(*kit.dfamily.values())
+        for d in set().union(*set(kit.dfamily.values()))
         if not ((d.ground is z or d.ground == z) and d.bits in z_measurable)
     }
     # a family is listed only under a measurable key; another key is listed as extra
@@ -334,10 +343,17 @@ def _shape_problems(kit: ExtensionKit) -> tuple[list[str], bool]:
 
 
 def _closed_blocks(kit: ExtensionKit) -> list[int] | None:
-    """The blocks of G on X + Z if |G| = 2**blocks (see validate_kit), else None."""
+    """The blocks of G on X + Z if |G| = 2**blocks (see validate_kit), else None.
+
+    Only a typed kit gets here, so every member B + D of G is a union of
+    the k base atoms and the m pasted atoms, shifted past X.  Those k + m
+    cells cover X + Z, so G has at most k + m blocks, and the refinement
+    stops once it has that many: no later member can split a cell.
+    """
     shift = kit.base.ground.size
     generated = {b.bits | d.bits << shift for b, ds in kit.dfamily.items() for d in ds}
-    blocks = generated_atom_bits(shift + kit.pasted.ground.size, generated)
+    cells = len(kit.base.algebra.atoms) + len(kit.pasted.atoms)
+    blocks = generated_atom_bits(shift + kit.pasted.ground.size, generated, cells)
     return blocks if len(generated) == 1 << len(blocks) else None
 
 

@@ -148,18 +148,23 @@ def family_to_obj(family: SetFamily, space_obj: dict | None = None) -> dict:
 
 def family_from_obj(raw: Any) -> tuple[SetFamily, MeasureSpace | None]:
     """Parse a family; the embedded space may optionally carry values."""
-    from .filters import SetFamily
-
     if not isinstance(raw, dict):
         raise InputFormatError("family must be a JSON object")
     algebra, ms = optional_space_from_obj(raw.get("space"), "family.space")
+    return _members_from_obj(raw, algebra), ms
+
+
+def _members_from_obj(raw: dict, algebra: SigmaAlgebra) -> SetFamily:
+    """The family of a family object's "members" over an algebra already parsed."""
+    from .filters import SetFamily
+
     members_raw = raw.get("members")
     if not isinstance(members_raw, list):
         raise InputFormatError("family.members must be a list of label lists")
     members = frozenset(
         mask_from_obj(algebra.ground, m, "family.members") for m in members_raw
     )
-    return SetFamily(algebra, members), ms
+    return SetFamily(algebra, members)
 
 
 def record_to_obj(record: UltrafilterRecord, space_obj: dict | None = None) -> dict:
@@ -177,15 +182,20 @@ def record_to_obj(record: UltrafilterRecord, space_obj: dict | None = None) -> d
 
 def record_from_obj(raw: Any) -> tuple[UltrafilterRecord, MeasureSpace | None]:
     """Parse a family or record; flags are recomputed, never trusted."""
+    family, ms = family_from_obj(raw)
+    return _classified(family, raw), ms
+
+
+def _classified(family: SetFamily, raw: dict) -> UltrafilterRecord:
+    """The record of ``family``, checked against a stored "kernel" if any."""
     from .filters import classify_family
 
-    family, ms = family_from_obj(raw)
     record = classify_family(family)
     if "kernel" in raw:
         kernel = _string_list(raw["kernel"], "kernel")
         if set(kernel) != set(record.kernel.labels()):
             raise InputFormatError("stored kernel does not match the family")
-    return record, ms
+    return record
 
 
 # ---------------------------------------------------------------- kits
@@ -296,7 +306,11 @@ def product_from_obj(raw: Any) -> ProductSpace:
 
 
 def product_record_from_obj(raw: Any) -> tuple[ProductSpace, UltrafilterRecord]:
-    """A ``project-uf`` input: a record whose "space" is a product."""
+    """A ``project-uf`` input: a record whose "space" is a product.
+
+    The product is parsed once, and the members are read over its algebra.
+    """
     if not isinstance(raw, dict):
         raise InputFormatError("project-uf input must be a JSON object")
-    return product_from_obj(raw.get("space")), record_from_obj(raw)[0]
+    ps = product_from_obj(raw.get("space"))
+    return ps, _classified(_members_from_obj(raw, ps.product.algebra), raw)

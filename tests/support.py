@@ -91,6 +91,22 @@ def closure_oracle(n_points: int, generator_bits: list[int]) -> set[int]:
         family |= new
 
 
+def refinement_oracle(n_points: int, generator_bits) -> list[int]:
+    """The blocks of the points no generator separates, by least point:
+    points share a block exactly when the same generators hold them."""
+    gens = list(generator_bits)
+    blocks: dict[tuple[int, ...], int] = {}
+    for p in range(n_points):
+        signature = tuple(g >> p & 1 for g in gens)
+        blocks[signature] = blocks.get(signature, 0) | 1 << p
+    return sorted(blocks.values(), key=lambda b: b & -b)
+
+
+def bits_key_oracle(bits: int) -> tuple[int, ...]:
+    """The point indices of a raw bitmask, one bit position at a time."""
+    return tuple(i for i in range(bits.bit_length()) if bits >> i & 1)
+
+
 def atoms_of_family(n_points: int, family: set[int]) -> set[int]:
     """Minimal nonempty members of a closed family."""
     atoms = set()

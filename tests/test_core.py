@@ -1,5 +1,6 @@
 """Core spaces: ground sets, masks, algebras, exact measures."""
 from fractions import Fraction
+import random
 import tracemalloc
 from itertools import product as iproduct
 
@@ -25,7 +26,7 @@ from measpace import (
     trace_algebra,
     transfer_mask,
 )
-from measpace.core import _partitions
+from measpace.core import _partitions, bits_key, generated_atom_bits
 from measpace.embeddings import _trace_space
 from measpace.partitions import set_partitions
 
@@ -33,11 +34,13 @@ from support import (
     G,
     alg,
     atoms_of_family,
+    bits_key_oracle,
     closure_oracle,
     inner_measure_oracle,
     is_thick_oracle,
     measure_oracle,
     outer_measure_oracle,
+    refinement_oracle,
     relabel_oracle,
     rgs_partitions,
     space,
@@ -267,6 +270,31 @@ def test_generate_matches_closure_oracle_exhaustively():
             family = closure_oracle(4, [s.bits, t.bits])
             assert {a.bits for a in produced.atoms} == atoms_of_family(4, family)
             assert {m.bits for m in produced.sets()} == family
+
+
+def test_refinement_stops_at_singletons_with_the_full_blocks():
+    # the default bound is the point count: no block splits past a
+    # singleton, so stopping there leaves the blocks of every generator
+    rng = random.Random(5)
+    stopped = 0
+    for n in range(7):
+        for _ in range(300):
+            gens = [rng.randrange(1 << n) for _ in range(rng.randrange(16))]
+            blocks = generated_atom_bits(n, gens)
+            # n + 1 blocks are never reached, so every generator is applied
+            assert blocks == generated_atom_bits(n, gens, n + 1)
+            assert sorted(blocks, key=lambda b: b & -b) == refinement_oracle(n, gens)
+            stopped += len(blocks) == n
+    assert stopped > 300
+
+
+def test_bits_key_matches_the_bit_scan():
+    # table lookups below 2**16, the scan for wider ints
+    for bits in range(1 << 16):
+        assert bits_key(bits) == bits_key_oracle(bits)
+    for bits in (1 << 16, 1 << 16 | 5, 1 << 40 | 1 << 17 | 3, (1 << 70) - 1):
+        assert bits_key(bits) == bits_key_oracle(bits)
+    assert next(set_partitions(range(20))) == (tuple(range(20)),)
 
 
 def test_generate_idempotent_on_all_algebras_up_to_4():

@@ -57,6 +57,7 @@ from support import (
     induced_base_oracle,
     kit_dfamily_oracle,
     outcome,
+    refinement_oracle,
     rgs_partitions,
     small_kits,
     space,
@@ -288,6 +289,35 @@ def test_kit_refuses_a_dfamily_or_fibers_of_the_wrong_type():
             ExtensionKit(base, pasted, dfamily, fibers)
     kit = ExtensionKit(base, pasted, good, {atom: ["p"]})
     assert kit.fibers == {atom: ("p",)} and validate_kit(kit) == []
+
+
+def test_kit_checks_a_family_shared_by_several_keys_once():
+    # one family object under every key is read and type-checked once and
+    # stored as one frozenset; a non-mask member or key is still refused
+    # with the same message
+    class Counted(list):
+        def __iter__(self):
+            self.reads += 1
+            return super().__iter__()
+
+    base = space(G("a", "b"), (["a"], ["b"]), (1, 2))
+    pasted = z_algebra()
+    keys = list(base.algebra.sets())
+    family = Counted(pasted.sets())
+    family.reads = 0
+    kit = ExtensionKit(base, pasted, dict.fromkeys(keys, family), {})
+    assert family.reads == 1 and len({id(ds) for ds in kit.dfamily.values()}) == 1
+    assert validate_kit(kit) == []
+
+    bad = Counted([pasted.ground.empty, "z"])
+    bad.reads = 0
+    with pytest.raises(InputFormatError) as err:
+        ExtensionKit(base, pasted, dict.fromkeys(keys, bad), {})
+    assert str(err.value) == "a kit's dfamily must hold SubsetMasks, got 'z'"
+    assert bad.reads == 1
+    with pytest.raises(InputFormatError) as err:
+        ExtensionKit(base, pasted, {**dict.fromkeys(keys, family), "b": family}, {})
+    assert str(err.value) == "a kit's dfamily must hold SubsetMasks, got 'b'"
 
 
 @pytest.mark.parametrize(
@@ -733,6 +763,47 @@ def test_validate_kit_matches_oracle_on_criterion_4_kits():
     assert valid > 100 and invalid > 100 and foreign > 1000
 
 
+def test_stopped_refinement_gives_the_full_blocks_on_criterion_4_kits():
+    # a typed kit's G is made of unions of its k + m cells, so stopping at
+    # k + m blocks leaves the blocks every member would give
+    typed = stopped = 0
+    for kit, _, _ in _criterion_4_cases():
+        if not embeddings._shape_problems(kit)[1]:
+            continue
+        shift = kit.base.ground.size
+        size = shift + kit.pasted.ground.size
+        generated = {b.bits | d.bits << shift for b, ds in kit.dfamily.items() for d in ds}
+        cells = len(kit.base.algebra.atoms) + len(kit.pasted.atoms)
+        blocks = embeddings.generated_atom_bits(size, generated, cells)
+        # size + 1 blocks are never reached, so every member is applied
+        assert blocks == embeddings.generated_atom_bits(size, generated, size + 1)
+        assert sorted(blocks, key=lambda b: b & -b) == refinement_oracle(size, generated)
+        closed = embeddings._closed_blocks(kit)
+        assert closed == (blocks if len(generated) == 1 << len(blocks) else None)
+        typed += 1
+        stopped += len(blocks) == cells
+    assert typed > 1000 and stopped > 500
+
+
+def test_validate_kit_lists_a_non_measurable_member_of_a_shared_family_once_per_key():
+    # one family object under every key (as full_dfamily and
+    # decompose_extension share it) and equal but distinct families (as
+    # kit_from_obj builds them) give the same messages, in key order
+    base = space(G("a", "b"), (["a"], ["b"]), (1, 2))
+    zg = G("z", "w")
+    pasted = alg(zg, ["z", "w"])
+    family = frozenset({zg.empty, zg.mask(["z"]), zg.full})
+    shared = ExtensionKit(base, pasted, dict.fromkeys(base.algebra.sets(), family), {})
+    distinct = jsonio.kit_from_obj(jsonio.kit_to_obj(shared))
+    assert len({id(ds) for ds in distinct.dfamily.values()}) == 4
+    expected = [
+        f"pasted family for {b} contains non-measurable {{z}}"
+        for b in ("{}", "{a}", "{a,b}", "{b}")
+    ]
+    assert validate_kit(shared) == validate_kit(distinct) == expected
+    assert validate_kit_oracle(shared) == validate_kit_oracle(distinct) == expected
+
+
 def test_validate_kit_matches_oracle_on_decomposed_kits():
     # canonical kits of extensions up to 5 points carry pasted parts of up
     # to 4 points; they are valid, and their single-set mutations mostly
@@ -892,9 +963,9 @@ def test_construct_extension_refines_the_closure_once(monkeypatch):
     # construction reuses the blocks validation found, not a second refinement
     calls, refine = [], embeddings.generated_atom_bits
 
-    def counted(size, generator_bits):
+    def counted(size, generator_bits, most=None):
         calls.append(size)
-        return refine(size, generator_bits)
+        return refine(size, generator_bits, most)
 
     monkeypatch.setattr(embeddings, "generated_atom_bits", counted)
     kit = _six_atom_kit()

@@ -1,5 +1,6 @@
 """Canonical JSON round trips and input validation."""
 import json
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,7 @@ from measpace import (
     identity_kit,
     product_space,
 )
+from measpace import jsonio
 from measpace.jsonio import (
     algebra_from_obj,
     algebra_to_obj,
@@ -27,6 +29,7 @@ from measpace.jsonio import (
     kit_to_obj,
     optional_space_from_obj,
     product_from_obj,
+    product_record_from_obj,
     product_to_obj,
     record_from_obj,
     record_to_obj,
@@ -35,6 +38,8 @@ from measpace.jsonio import (
 )
 
 from support import G, alg, family_members_oracle, kit_dfamily_oracle, space
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def test_space_round_trip_and_canonical_atom_order():
@@ -212,6 +217,35 @@ def test_product_round_trip_and_tamper_detection():
     broken["values"][0] = "7"
     with pytest.raises(InputFormatError):
         product_from_obj(broken)
+
+
+def test_project_uf_input_parses_its_product_once(monkeypatch):
+    # the members are read over the product the factors built, not over a
+    # second parse of "space"; a bad member or kernel gets the message
+    # record_from_obj gives it
+    raw = json.loads((FIXTURES / "product_uf.json").read_text())
+    expected = record_from_obj(raw)[0]
+    parsed, parse = [], jsonio._atoms_from_obj
+
+    def logged(obj, what):
+        parsed.append(what)
+        return parse(obj, what)
+
+    monkeypatch.setattr(jsonio, "_atoms_from_obj", logged)
+    ps, record = product_record_from_obj(raw)
+    assert parsed == ["factors.left", "factors.right", "product"]
+    assert record == expected and record.algebra == ps.product.algebra
+
+    def refusal(load, obj):
+        with pytest.raises(InputFormatError) as err:
+            load(obj)
+        return str(err.value)
+
+    monkeypatch.setattr(jsonio, "_atoms_from_obj", parse)
+    broken = (("members", "x"), ("members", [["nope"]]), ("kernel", ["nope"]), ("kernel", 1))
+    for key, value in broken:
+        bad = {**raw, key: value}
+        assert refusal(product_record_from_obj, bad) == refusal(record_from_obj, bad)
 
 
 def test_ultrafilter_record_reclassifies_on_load():
