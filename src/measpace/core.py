@@ -64,13 +64,15 @@ class _Value:
     ``__slots__``.  Its ``__init__`` checks the arguments and stores them
     with ``_setattr``.  Two values are equal when they have the same class
     and equal field tuples, and the hash is the hash of that tuple, so a
-    value with a dict field is unhashable.  Assignment and deletion raise
+    value with a dict field is unhashable; ``SubsetMask`` alone hashes
+    by its bits instead.  Assignment and deletion raise
     ``AttributeError``; copies and pickles are rebuilt through
     ``__init__``, which checks them again.
 
     ``_trusted`` is the one construction path that skips ``__init__``,
     for values whose invariants the library has just checked on raw bits
-    itself (``enumerate_extensions``).
+    itself: the masks of ``SigmaAlgebra.sets`` and the spaces of
+    ``enumerate_extensions``.
     """
 
     __slots__ = ()
@@ -303,10 +305,12 @@ class SubsetMask(_Value):
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.ground, self.bits))
+        """The bits alone: equal masks have equal bits, and masks with the
+        same bits over different grounds share a hash but stay unequal."""
+        return self.bits
 
     def _same_ground(self, other: "SubsetMask") -> None:
-        if self.ground != other.ground:
+        if self.ground is not other.ground and self.ground != other.ground:
             raise GroundMismatchError("masks are over different ground sets")
 
     def __or__(self, other: "SubsetMask") -> "SubsetMask":
@@ -462,7 +466,7 @@ class SigmaAlgebra(_Value):
 
     def member(self, s: SubsetMask) -> bool:
         """True iff ``s`` is a union of atoms."""
-        if s.ground != self.ground:
+        if s.ground is not self.ground and s.ground != self.ground:
             raise GroundMismatchError("set over a different ground set")
         for atom in self.atoms:
             inter = atom.bits & s.bits
@@ -475,9 +479,13 @@ class SigmaAlgebra(_Value):
             raise NotMeasurableError(f"set {s!r} is not measurable")
 
     def sets(self) -> Iterator[SubsetMask]:
-        """All 2**n_atoms measurable sets: set i is the union of the atoms at the bits of i."""
+        """All 2**n_atoms measurable sets: set i is the union of the atoms at the bits of i.
+
+        Unions of the algebra's own checked, disjoint atoms lie in range by
+        construction, so each mask is built through ``_trusted``.
+        """
         for bits in _unions(atom.bits for atom in self.atoms):
-            yield SubsetMask(self.ground, bits)
+            yield SubsetMask._trusted(self.ground, bits)
 
     def sorted_sets(self) -> list[SubsetMask]:
         return sorted(self.sets(), key=mask_key)
@@ -606,14 +614,14 @@ class MeasureSpace(_Value):
         ``s`` need not be measurable.  The least such C is the union of the
         atoms that meet ``s``.
         """
-        if s.ground != self.ground:
+        if s.ground is not self.algebra.ground and s.ground != self.algebra.ground:
             raise GroundMismatchError("set over a different ground set")
         pairs = zip(self.algebra.atoms, self.atom_values)
         return sum((v for a, v in pairs if a.bits & s.bits), ZERO)
 
     def inner_measure(self, s: SubsetMask) -> ExtReal:
         """max over measurable C <= s of the measure of C: the atoms inside ``s``."""
-        if s.ground != self.ground:
+        if s.ground is not self.algebra.ground and s.ground != self.algebra.ground:
             raise GroundMismatchError("set over a different ground set")
         pairs = zip(self.algebra.atoms, self.atom_values)
         return sum((v for a, v in pairs if a.bits & ~s.bits == 0), ZERO)

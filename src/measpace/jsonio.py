@@ -55,8 +55,12 @@ def labels_list(mask: SubsetMask) -> list[str]:
     return list(mask.labels())
 
 
+def _is_string_list(raw: Any) -> bool:
+    return isinstance(raw, list) and all(isinstance(s, str) for s in raw)
+
+
 def _string_list(raw: Any, what: str) -> list[str]:
-    if not isinstance(raw, list) or not all(isinstance(s, str) for s in raw):
+    if not _is_string_list(raw):
         raise InputFormatError(f"{what} must be a list of strings")
     return raw
 
@@ -249,13 +253,20 @@ def kit_from_obj(raw: Any) -> ExtensionKit:
     dfamily_raw = raw.get("dfamily")
     if not isinstance(dfamily_raw, dict):
         raise InputFormatError("kit.dfamily must be an object keyed by base sets")
-    dfamily = {}
+    # a decomposed kit lists one family under every key: each distinct
+    # member list is parsed once, by the first key that lists it, and every
+    # key shares its frozenset, which the kit then checks once; a malformed
+    # list gets the key None and raises while parsed, so None is never stored
+    dfamily, families = {}, {}
     for b, key, ds in _masks_from_dict_keys(base.ground, dfamily_raw, "kit.dfamily"):
         if not isinstance(ds, list):
             raise InputFormatError(f"kit.dfamily[{key!r}] must be a list of label lists")
-        dfamily[b] = frozenset(
-            mask_from_obj(pasted.ground, d, f"kit.dfamily[{key!r}]") for d in ds
-        )
+        labels = tuple(map(tuple, ds)) if all(map(_is_string_list, ds)) else None
+        if labels not in families:
+            families[labels] = frozenset(
+                mask_from_obj(pasted.ground, d, f"kit.dfamily[{key!r}]") for d in ds
+            )
+        dfamily[b] = families[labels]
     fibers_raw = raw.get("fibers")
     if not isinstance(fibers_raw, dict):
         raise InputFormatError("kit.fibers must be an object keyed by kernels")

@@ -1,5 +1,7 @@
 """Core spaces: ground sets, masks, algebras, exact measures."""
+import copy
 from fractions import Fraction
+import pickle
 import random
 import tracemalloc
 from itertools import product as iproduct
@@ -180,6 +182,21 @@ def test_sets_order_is_the_combo_loop_order_up_to_5_points():
                         bits |= atom.bits
                 expected.append(SubsetMask(g, bits))
             assert list(algebra.sets()) == expected
+
+
+def test_sets_builds_what_the_public_constructor_builds():
+    # every mask sets() yields is built without __init__; it must equal and
+    # hash like the checked build, and pickle and deepcopy (which go
+    # through __init__) must give it back unchanged
+    for n in range(6):
+        g = GroundSet(tuple(f"p{i}" for i in range(n)))
+        for algebra in all_sigma_algebras(g):
+            members = list(algebra.sets())
+            for mask in members:
+                checked = SubsetMask(GroundSet(g.labels), mask.bits)
+                assert mask == checked and hash(mask) == hash(checked)
+            assert pickle.loads(pickle.dumps(members)) == members
+            assert copy.deepcopy(members) == members
 
 
 def test_sorted_sets_order_is_the_range_walk_order():

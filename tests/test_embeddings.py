@@ -787,14 +787,14 @@ def test_stopped_refinement_gives_the_full_blocks_on_criterion_4_kits():
 
 def test_validate_kit_lists_a_non_measurable_member_of_a_shared_family_once_per_key():
     # one family object under every key (as full_dfamily and
-    # decompose_extension share it) and equal but distinct families (as
-    # kit_from_obj builds them) give the same messages, in key order
+    # decompose_extension share it) and equal but distinct families, with
+    # distinct members, give the same messages, in key order
     base = space(G("a", "b"), (["a"], ["b"]), (1, 2))
     zg = G("z", "w")
     pasted = alg(zg, ["z", "w"])
     family = frozenset({zg.empty, zg.mask(["z"]), zg.full})
     shared = ExtensionKit(base, pasted, dict.fromkeys(base.algebra.sets(), family), {})
-    distinct = jsonio.kit_from_obj(jsonio.kit_to_obj(shared))
+    distinct = ExtensionKit(base, pasted, _distinct_families(shared.dfamily), {})
     assert len({id(ds) for ds in distinct.dfamily.values()}) == 4
     expected = [
         f"pasted family for {b} contains non-measurable {{z}}"
@@ -945,10 +945,22 @@ def _six_atom_kit():
     return kit
 
 
+def _distinct_families(dfamily):
+    """``dfamily`` with every family, and every member, its own object."""
+    return {
+        b: frozenset([SubsetMask(d.ground, d.bits) for d in ds]) for b, ds in dfamily.items()
+    }
+
+
 def test_validate_kit_builds_no_mask_and_sorts_nothing_on_a_valid_kit(monkeypatch):
-    # the kit as built in memory shares one family; read from JSON, every
-    # family and member is its own object
-    kits = [_six_atom_kit(), jsonio.kit_from_obj(jsonio.kit_to_obj(_six_atom_kit()))]
+    # the kit as built in memory shares one family; validation builds and
+    # sorts nothing either when every family and member is its own object
+    shared = _six_atom_kit()
+    distinct = ExtensionKit(
+        shared.base, shared.pasted, _distinct_families(shared.dfamily), shared.fibers
+    )
+    assert len({id(ds) for ds in distinct.dfamily.values()}) == len(distinct.dfamily)
+    kits = [shared, distinct]
 
     def refuse(*args, **kwargs):
         raise AssertionError("called on the success path")

@@ -180,7 +180,41 @@ def test_kit_lists_each_family_under_its_own_keys():
         "b": [[], ["z", "w"], ["w"]],
         "a,b": [[], ["z"], ["z", "w"], ["w"]],
     }
-    assert kit_from_obj(obj) == kit
+    loaded = kit_from_obj(obj)
+    assert loaded == kit
+    # {a} and {b} are listed alike, so loaded they share one object
+    assert loaded.dfamily[base.ground.mask(["a"])] is loaded.dfamily[base.ground.mask(["b"])]
+    assert len({id(ds) for ds in loaded.dfamily.values()}) == 3
+
+
+def test_a_loaded_decomposed_kit_holds_one_family_object():
+    # a decomposition pastes one family under every base set; read back,
+    # every key holds the same frozenset, which the kit then checks once
+    big = space(
+        G("a", "b", "c", "p", "z", "w"),
+        (["a", "p"], ["b"], ["c"], ["z", "w"]),
+        (1, 2, "inf", 0),
+    )
+    kit = decompose_extension(big, big.ground.mask(["a", "b", "c"])).kit
+    loaded = kit_from_obj(kit_to_obj(kit))
+    assert loaded == kit and len(loaded.dfamily) == 8
+    assert len({id(ds) for ds in loaded.dfamily.values()}) == 1
+
+
+def test_kit_family_errors_are_raised_by_the_first_key_in_member_order():
+    base = space(G("a", "b"), (["a"], ["b"]), (1, 1))
+    obj = kit_to_obj(identity_kit(base))
+    assert obj["dfamily"] == {"": [[]], "a": [[]], "a,b": [[]], "b": [[]]}
+    for bad, message in [
+        # the first bad member of the first key that lists it
+        ([[], 3], "kit.dfamily['a'] must be a list of strings"),
+        ([["q"], 3], "unknown point label 'q'"),
+        ([3, ["q"]], "kit.dfamily['a'] must be a list of strings"),
+    ]:
+        raw = {**obj, "dfamily": {"": [[]], "a": bad, "b": bad, "a,b": [[]]}}
+        with pytest.raises(InputFormatError) as caught:
+            kit_from_obj(raw)
+        assert str(caught.value) == message
 
 
 def test_kit_keys_naming_one_set_are_rejected():

@@ -1,6 +1,6 @@
 """The value-class contract: immutable, equal by class and fields, hashed
-like the tuple of fields, copyable and picklable through the checked
-constructor."""
+like the tuple of fields (a mask by its bits alone), copyable and
+picklable through the checked constructor."""
 import copy
 import pickle
 from fractions import Fraction
@@ -85,8 +85,35 @@ def test_hash_is_the_hash_of_the_field_tuple(value):
     if type(value) in UNHASHABLE:
         with pytest.raises(TypeError):
             hash(value)
+    elif type(value) is SubsetMask:  # hashed by its bits alone
+        assert hash(value) == value.bits
     else:
         assert hash(value) == hash(fields(value))
+
+
+def test_masks_hash_by_bits_and_stay_apart_across_grounds():
+    # every mask on grounds of up to 4 points: an equal mask over an equal
+    # but distinct ground hashes alike, and the same bits over another
+    # ground share the hash but stay a separate set and dict entry
+    orders = ("abcd", "dcba", "wxyz")
+    grounds = [GroundSet(tuple(labels[:n])) for n in range(5) for labels in orders]
+    for g in grounds:
+        twin = GroundSet(g.labels)
+        masks = [SubsetMask(g, bits) for bits in range(1 << g.size)]
+        assert len(set(masks)) == len(masks)
+        for mask in masks:
+            equal = SubsetMask(twin, mask.bits)
+            assert mask == equal and hash(mask) == hash(equal) == mask.bits
+            assert len({mask, equal}) == 1
+        for other in grounds:
+            if other == g:
+                continue
+            for mask in masks[: 1 << other.size]:
+                stranger = SubsetMask(other, mask.bits)
+                assert mask != stranger and hash(mask) == hash(stranger)
+                table = {mask: 1, stranger: 2}
+                assert len({mask, stranger}) == len(table) == 2
+                assert table[mask] == 1 and table[stranger] == 2
 
 
 @pytest.mark.parametrize("value", VALUES, ids=IDS)
