@@ -14,34 +14,37 @@ from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "INFINITY", "ONE", "ZERO", "ExtReal", "GroundSet", "MeasureSpace",
-    "SigmaAlgebra", "SubsetMask", "all_sigma_algebras", "generate_sigma_algebra",
-    "mask_key", "trace_algebra", "transfer_mask",
-    "DecompositionRecord", "EmbeddingReport", "ExtensionKit", "OutsidePointClass",
-    "auto_fibers", "check_measurable_embedding", "check_measure_embedding",
-    "classify_outside_points", "construct_extension", "decompose_extension",
-    "enumerate_extensions", "full_dfamily", "identity_kit",
-    "measure_embedding_report", "validate_kit",
-    "GroundMismatchError", "InputFormatError", "InvalidKitError", "InvariantError",
-    "MeaspaceError", "NotMeasurableError", "PreconditionError", "SizeCapError",
-    "SetFamily", "UltrafilterRecord", "ZeroOneMeasure", "classify_family",
-    "enumerate_ultrafilters", "extend_to_ultrafilter", "lift_to_superspace",
-    "measure_from_ultrafilter", "principal_ultrafilter", "restrict_by_trace",
-    "ultrafilter_from_01_measure",
-    "ProductSpace", "lift_ultrafilter", "pair_label", "product_space",
-    "project_ultrafilter", "y_section",
-]
-
 # the submodule each exported name lives in; __all__ lists these names in
-# the same order, grouped by submodule
+# this order
 _EXPORTS = {
-    "core": __all__[0:13],
-    "embeddings": __all__[13:28],
-    "errors": __all__[28:36],
-    "filters": __all__[36:47],
-    "products": __all__[47:53],
+    "core": (
+        "INFINITY", "ONE", "ZERO", "ExtReal", "GroundSet", "MeasureSpace",
+        "SigmaAlgebra", "SubsetMask", "all_sigma_algebras", "generate_sigma_algebra",
+        "mask_key", "trace_algebra", "transfer_mask",
+    ),
+    "embeddings": (
+        "DecompositionRecord", "EmbeddingReport", "ExtensionKit", "OutsidePointClass",
+        "auto_fibers", "check_measurable_embedding", "check_measure_embedding",
+        "classify_outside_points", "construct_extension", "decompose_extension",
+        "enumerate_extensions", "full_dfamily", "identity_kit",
+        "measure_embedding_report", "validate_kit",
+    ),
+    "errors": (
+        "GroundMismatchError", "InputFormatError", "InvalidKitError", "InvariantError",
+        "MeaspaceError", "NotMeasurableError", "PreconditionError", "SizeCapError",
+    ),
+    "filters": (
+        "SetFamily", "UltrafilterRecord", "ZeroOneMeasure", "classify_family",
+        "enumerate_ultrafilters", "extend_to_ultrafilter", "lift_to_superspace",
+        "measure_from_ultrafilter", "principal_ultrafilter", "restrict_by_trace",
+        "ultrafilter_from_01_measure",
+    ),
+    "products": (
+        "ProductSpace", "lift_ultrafilter", "pair_label", "product_space",
+        "project_ultrafilter", "y_section",
+    ),
 }
+__all__ = [name for names in _EXPORTS.values() for name in names]
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 

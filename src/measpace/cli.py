@@ -99,10 +99,9 @@ def _cmd_thick(args):
     x = ms.ground.mask(_set_arg(args))
     if ms.is_thick(x):
         return 0, {"ok": True}
+    outside = x.complement()
     witness = next(
-        c
-        for c in ms.algebra.sorted_sets()
-        if c.issubset(x.complement()) and ms.measure_of(c) != ZERO
+        c for c in ms.algebra.sorted_sets() if c.issubset(outside) and ms.inner_measure(c) != ZERO
     )
     return 1, {"ok": False, "witness": jsonio.labels_list(witness)}
 

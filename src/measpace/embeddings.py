@@ -15,8 +15,8 @@ extension of a base space by finitely many fresh points from the kits.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
-from functools import reduce
+from collections.abc import Iterable, Iterator, Mapping
+from functools import cache, reduce
 from operator import or_
 
 from .core import (
@@ -98,23 +98,24 @@ def measure_embedding_report(small: MeasureSpace, big: MeasureSpace) -> Embeddin
     set by set, in canonical order, for the witness: either a big-side
     set whose trace is not measurable in the small algebra (or whose
     measure disagrees with the trace measure), or a small-side set that
-    is not a trace at all.  A refusal that no set backs raises
-    :class:`InvariantError`.
+    is not a trace at all.  The big sets are sorted and traced once: the
+    first pass keeps each (set, trace) pair, and the measure pass reads
+    them back.  A refusal that no set backs raises :class:`InvariantError`.
     """
     x = _embedded_mask(small.ground, big.ground)
     if big.is_thick(x) and _trace_space(big, x, small.ground)[0] == small:
         return EmbeddingReport(True)
-    traces = set()
+    traced = []
     for c in big.algebra.sorted_sets():
         t = transfer_mask(c & x, small.ground)
-        traces.add(t)
         if not small.algebra.member(t):
             return EmbeddingReport(False, "trace-mismatch", c)
+        traced.append((c, t))
+    traces = {t for _, t in traced}
     for s in small.algebra.sorted_sets():
         if s not in traces:
             return EmbeddingReport(False, "trace-mismatch", s)
-    for c in big.algebra.sorted_sets():
-        t = transfer_mask(c & x, small.ground)
+    for c, t in traced:
         if big.measure_of(c) != small.measure_of(t):
             return EmbeddingReport(False, "measure-mismatch", c)
     raise InvariantError("the atom-level check refused an embedding that no set contradicts")
@@ -165,14 +166,17 @@ class ExtensionKit(_Value):
         for key, members in dfamily.items():
             if id(members) in checked:
                 family, unchecked = checked[id(members)][1], ()
+            elif not isinstance(members, Iterable):
+                raise InputFormatError(f"the pasted family of {key!r} is not a collection")
             else:
-                if not isinstance(members, Iterable):
-                    raise InputFormatError(f"the pasted family of {key!r} is not a collection")
-                family = unchecked = frozenset(members)
-                checked[id(members)] = members, family
+                # read once; each member is type-checked before it is hashed
+                family = unchecked = members if isinstance(members, frozenset) else tuple(members)
             for mask in (key, *unchecked):
                 if not isinstance(mask, SubsetMask):
                     raise InputFormatError(f"a kit's dfamily must hold SubsetMasks, got {mask!r}")
+            if unchecked is family:  # first sight: store the checked family
+                family = frozenset(family)
+                checked[id(members)] = members, family
             families[key] = family
         fiber_labels = {}
         for kernel, labels in fibers.items():
@@ -357,24 +361,23 @@ def _closed_blocks(kit: ExtensionKit) -> list[int] | None:
     return blocks if len(generated) == 1 << len(blocks) else None
 
 
-def _names(ground: GroundSet):
-    """``repr`` of a mask over ``ground`` from its raw bits, each formatted once."""
-    names: dict[int, str] = {}
-
-    def name(bits: int) -> str:
-        if bits not in names:
-            names[bits] = repr(SubsetMask(ground, bits))
-        return names[bits]
-
-    return name
+def _submasks(bits: int) -> Iterator[int]:
+    """Every submask of ``bits``, once each, from ``bits`` itself down to 0."""
+    sub = bits
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = sub - 1 & bits
 
 
 def _closure_problems(kit: ExtensionKit) -> list[str]:
     """One message per violated closure condition, base sets in mask_key order.
 
     The keys are exactly the unions of base atoms.  Equal families are
-    shared, so each is sorted once and the unions of selections from two
-    families are formed once.  A pair B1, B2 can break the union
+    shared, so each is sorted once, the unions of selections from two
+    families are formed once (a cached pair union), and each set named in
+    a message is formatted once.  A pair B1, B2 can break the union
     condition only under T = B1 | B2, and only if D_T misses some union
     of two families; just those T have their pairs enumerated over the
     atoms, and only the failing pairs are sorted into canonical order.
@@ -389,7 +392,8 @@ def _closure_problems(kit: ExtensionKit) -> list[str]:
         family[b.bits] = shared.setdefault(members, members)
     ordered = {ds: sorted(ds, key=bits_key) for ds in shared}
     keys = sorted(family, key=bits_key)
-    fb, fz = _names(base_ground), _names(z_ground)
+    fb = cache(lambda bits: repr(SubsetMask(base_ground, bits)))
+    fz = cache(lambda bits: repr(SubsetMask(z_ground, bits)))
     problems: list[str] = []
     if 0 not in family[0]:
         problems.append("the empty pasted set is missing from the family of the empty base set")
@@ -404,29 +408,19 @@ def _closure_problems(kit: ExtensionKit) -> list[str]:
 
     members = frozenset().union(*shared)
     every_union = {d1 | d2 for d1 in members for d2 in members}
-    joined: dict[tuple[frozenset[int], frozenset[int]], frozenset[int]] = {}
+    joined = cache(lambda ds1, ds2: frozenset(d1 | d2 for d1 in ds1 for d2 in ds2))
     union = _unions(atom.bits for atom in kit.base.algebra.atoms)
     failing = []
     for t_atoms, t in enumerate(union):
         target = family[t]
         if every_union <= target:
             continue
-        a1 = t_atoms
-        while True:  # B1 over the sub-unions of T, B2 = (T - B1) + part of B1
-            b1, rest, s = union[a1], t_atoms & ~a1, a1
-            while True:
+        for a1 in _submasks(t_atoms):  # B1 over the sub-unions of T, B2 = (T - B1) + part of B1
+            b1, rest = union[a1], t_atoms & ~a1
+            for s in _submasks(a1):
                 b2 = union[rest | s]
-                pair = family[b1], family[b2]
-                if pair not in joined:
-                    joined[pair] = frozenset(d1 | d2 for d1 in pair[0] for d2 in pair[1])
-                if not joined[pair] <= target:
+                if not joined(family[b1], family[b2]) <= target:
                     failing.append((b1, b2))
-                if not s:
-                    break
-                s = s - 1 & a1
-            if not a1:
-                break
-            a1 = a1 - 1 & t_atoms
     rank = {b: i for i, b in enumerate(keys)}
     failing.sort(key=lambda pair: (rank[pair[0]], rank[pair[1]]))
     for b1, b2 in failing:
@@ -616,8 +610,11 @@ def enumerate_extensions(
     ``_check_partitions`` confirms on raw ints, so the listing is sorted
     on one bytes key per tuple before any object is built.  Then each
     distinct block becomes one ``SubsetMask``, and every space is built
-    unchecked from the masks and one checked values tuple per block count.
+    unchecked from those masks and the base values followed by one
+    ``ZERO`` per pasted block.
     """
+    if not isinstance(base, MeasureSpace):
+        raise InputFormatError(f"the base must be a MeasureSpace, got {base!r}")
     if isinstance(extra_labels, str) or not isinstance(extra_labels, Iterable):
         raise InputFormatError(f"extra labels must be a collection, got {extra_labels!r}")
     extras = list(extra_labels)
@@ -642,13 +639,7 @@ def enumerate_extensions(
     partitions.sort(key=lambda blocks: b"".join(map(keys.__getitem__, blocks)))
     masks = {bits: SubsetMask(ground, bits) for bits in keys}
     k = len(base.algebra.atoms)
-    values = {
-        m: MeasureSpace(
-            SigmaAlgebra(ground, tuple(map(masks.__getitem__, blocks))),
-            base.atom_values + (ZERO,) * (m - k),
-        ).atom_values
-        for m, blocks in {len(blocks): blocks for blocks in partitions}.items()
-    }
+    values = {m: base.atom_values + (ZERO,) * (m - k) for m in set(map(len, partitions))}
     algebra, space = SigmaAlgebra._trusted, MeasureSpace._trusted
     return [
         space(algebra(ground, tuple(map(masks.__getitem__, blocks))), values[len(blocks)])

@@ -19,6 +19,8 @@ and the transfer of ultrafilters along sub- and super-space inclusions
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from .core import (
     MeasureSpace,
     ONE,
@@ -42,13 +44,16 @@ class SetFamily(_Value):
     def __init__(self, algebra: SigmaAlgebra, members: frozenset[SubsetMask]):
         if not isinstance(algebra, SigmaAlgebra):
             raise InputFormatError(f"a family needs a SigmaAlgebra, got {algebra!r}")
-        members = frozenset(members)
+        if not isinstance(members, Iterable):
+            raise InputFormatError(f"family members must be a collection, got {members!r}")
+        # read once; each member is type-checked before it is hashed
+        members = members if isinstance(members, frozenset) else tuple(members)
         for m in members:
             if not isinstance(m, SubsetMask):
                 raise InputFormatError(f"family members must be SubsetMasks, got {m!r}")
             algebra.require_member(m)
         _setattr(self, "algebra", algebra)
-        _setattr(self, "members", members)
+        _setattr(self, "members", frozenset(members))
 
     def sorted_members(self) -> list[SubsetMask]:
         return sorted(self.members, key=mask_key)

@@ -560,6 +560,31 @@ def is_thick_oracle(ms, x) -> bool:
     return inner_measure_oracle(ms, x.complement()) == ZERO
 
 
+def thick_witness_oracle(ms, x):
+    """The first measurable set, in canonical order, that misses ``x`` and
+    is not null, by scan; None when ``x`` is thick."""
+    return next(
+        (
+            c
+            for c in ms.algebra.sorted_sets()
+            if c.bits & x.bits == 0 and measure_oracle(ms, c) != ZERO
+        ),
+        None,
+    )
+
+
+def spaces_and_subsets_up_to(n_points):
+    """(space, X) for every space on at most ``n_points`` points with atom
+    values in {0, 1, inf}, and every subset X of its ground."""
+    for n in range(n_points + 1):
+        g = GroundSet(tuple("abcd"[:n]))
+        for algebra in all_sigma_algebras(g):
+            for values in iproduct((ZERO, ONE, INFINITY), repeat=len(algebra.atoms)):
+                ms = MeasureSpace(algebra, values)
+                for bits in range(1 << n):
+                    yield ms, SubsetMask(g, bits)
+
+
 def classify_family_oracle(family: SetFamily) -> UltrafilterRecord:
     """Compute every classification flag by its direct definition.
 

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from measpace.cli import run
-from measpace.jsonio import canonical_dumps
+from measpace.jsonio import canonical_dumps, space_to_obj
+
+from support import spaces_and_subsets_up_to, thick_witness_oracle
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "golden"
@@ -114,6 +116,23 @@ def test_stdin_input(capsys, monkeypatch):
     code = run(["atoms", "--space", "-"])
     assert code == 0
     assert capsys.readouterr().out == (GOLDEN / "atoms.json").read_text()
+
+
+def test_thick_witness_matches_the_scan_oracle(capsys, monkeypatch):
+    # every set that is not thick, in every space up to 4 points with
+    # values in {0, 1, inf}, read from stdin
+    refused = 0
+    for ms, x in spaces_and_subsets_up_to(4):
+        witness = thick_witness_oracle(ms, x)
+        if witness is None:
+            continue
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(space_to_obj(ms))))
+        code = run(["thick", "--space", "-", "--set", json.dumps(list(x.labels()))])
+        assert code == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"ok": False, "witness": list(witness.labels())}
+        refused += 1
+    assert refused > 1000
 
 
 def test_error_objects(capsys, tmp_path):

@@ -61,6 +61,7 @@ from support import (
     rgs_partitions,
     small_kits,
     space,
+    spaces_and_subsets_up_to,
     trace_space,
     validate_kit_oracle,
 )
@@ -278,6 +279,7 @@ def test_kit_refuses_a_dfamily_or_fibers_of_the_wrong_type():
         ({**good, "a": frozenset({pasted.ground.empty})}, {}),
         ({**good, atom: frozenset({"z"})}, {}),
         ({**good, atom: None}, {}),
+        ({**good, atom: [[1]]}, {}),
         (good, {atom: "pq"}),
         (good, {atom: (1,)}),
         (good, {atom: {"p", "q"}}),
@@ -570,6 +572,20 @@ def test_enumerate_builds_what_the_public_constructors_build():
         assert copy.deepcopy(listing) == listing
 
 
+def test_enumerate_builds_no_checked_algebra_or_space(monkeypatch):
+    # _check_partitions proves every block tuple, so no listed space is
+    # rebuilt through the checking constructors; the bases are built first
+    cases = list(_enumeration_cases())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_extensions ran a checking constructor")
+
+    monkeypatch.setattr(SigmaAlgebra, "__init__", refuse)
+    monkeypatch.setattr(MeasureSpace, "__init__", refuse)
+    listed = sum(len(enumerate_extensions(base, extras)) for base, extras in cases)
+    assert listed > 10000
+
+
 BROKEN_PARTITIONS = [
     ((0b011, 0b110), 0b111),  # overlapping
     ((0b011, 0b010), 0b101),  # overlapping, though their sum is the ground
@@ -626,6 +642,10 @@ def test_enumerate_guards():
         with pytest.raises(InputFormatError):
             enumerate_extensions(base, extras)
     assert enumerate_extensions(base, {"q", "p"}) == enumerate_extensions(base, ["p", "q"])
+    # the listing builds its spaces unchecked, so only a checked space may be its base
+    for not_a_space in (None, base.algebra):
+        with pytest.raises(InputFormatError):
+            enumerate_extensions(not_a_space, ["p"])
 
 
 def test_empty_base_space():
@@ -1040,6 +1060,38 @@ def test_measure_embedding_report_matches_oracle():
     assert outcomes == {None, "trace-mismatch", "measure-mismatch"}
 
 
+def test_measure_mismatch_sorts_the_big_sets_once(monkeypatch):
+    # the measure pass reads back the (set, trace) pairs of the trace pass
+    sorted_sets = SigmaAlgebra.sorted_sets
+    sorted_by = []
+
+    def counted(algebra):
+        sorted_by.append(algebra)
+        return sorted_sets(algebra)
+
+    monkeypatch.setattr(SigmaAlgebra, "sorted_sets", counted)
+    refused = 0
+    for base, ext in _extensions_up_to(4):
+        for i, v in enumerate(ext.atom_values):
+            changed = list(ext.atom_values)
+            changed[i] = ONE if v == ZERO else ZERO
+            big = MeasureSpace(ext.algebra, tuple(changed))
+            sorted_by.clear()
+            report = measure_embedding_report(base, big)
+            big_sorts = sum(algebra is big.algebra for algebra in sorted_by)
+            assert report == embedding_report_oracle(base, big)
+            if report.reason == "measure-mismatch":
+                assert big_sorts == 1
+                refused += 1
+    assert refused > 100
+
+
+def test_submasks_yield_each_submask_once_from_the_top_down():
+    for bits in range(1 << 8):
+        expected = [s for s in range(bits, -1, -1) if s & ~bits == 0]
+        assert list(embeddings._submasks(bits)) == expected
+
+
 def _extensions_both_ways_up_to(n_points):
     """(extension, X) for every extension of ``_extensions_up_to``, and
     for its copy over the reversed ground, which puts X last."""
@@ -1080,22 +1132,10 @@ def test_classify_and_decompose_serialize_outside_points_alike():
     assert seen == 2 * 221
 
 
-def _spaces_and_subsets_up_to(n_points):
-    """(space, X) for every space on at most ``n_points`` points with atom
-    values in {0, 1, inf}, and every subset X of its ground."""
-    for n in range(n_points + 1):
-        g = GroundSet(tuple("abcd"[:n]))
-        for algebra in all_sigma_algebras(g):
-            for values in iproduct((ZERO, ONE, INFINITY), repeat=len(algebra.atoms)):
-                ms = MeasureSpace(algebra, values)
-                for bits in range(1 << n):
-                    yield ms, SubsetMask(g, bits)
-
-
 def test_thick_iff_the_trace_space_embeds():
     # the one-pass reading decides the embedding by thickness alone
     thick = thin = 0
-    for ms, x in _spaces_and_subsets_up_to(4):
+    for ms, x in spaces_and_subsets_up_to(4):
         embeds = embedding_report_oracle(trace_space(ms, x), ms).ok
         assert ms.is_thick(x) == embeds
         thick += embeds
@@ -1105,7 +1145,7 @@ def test_thick_iff_the_trace_space_embeds():
 
 def test_refusals_carry_the_oracle_message():
     refused = 0
-    for ms, x in _spaces_and_subsets_up_to(4):
+    for ms, x in spaces_and_subsets_up_to(4):
         if ms.is_thick(x):
             continue
         expected = outcome(induced_base_oracle, ms, x)

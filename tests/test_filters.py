@@ -338,6 +338,8 @@ def test_family_refuses_components_that_are_not_an_algebra_and_masks():
         (g, frozenset()),
         (algebra, {1}),
         (algebra, {g.full, ("a",)}),
+        (algebra, None),
+        (algebra, [[1]]),
     ):
         with pytest.raises(InputFormatError):
             SetFamily(ground_part, members)
