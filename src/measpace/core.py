@@ -69,24 +69,34 @@ class _Value:
     ``AttributeError``; copies and pickles are rebuilt through
     ``__init__``, which checks them again.
 
-    ``_trusted`` is the one construction path that skips ``__init__``,
-    for values whose invariants the library has just checked on raw bits
-    itself: the masks of ``SigmaAlgebra.sets`` and the spaces of
-    ``enumerate_extensions``.
+    ``_trusted(first, second)`` is the one construction path that skips
+    ``__init__``, for values whose invariants the library has just checked
+    on raw bits itself: the masks of ``SigmaAlgebra.sets`` and the spaces
+    of ``enumerate_extensions``.  Only a class whose slots are exactly its
+    two fields has one: when the class is created, its two slot
+    descriptors' setters are looked up once, so a value costs one
+    ``object.__new__`` and two stores.  Any other class's ``_trusted`` is
+    None.
     """
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
 
-    @classmethod
-    def _trusted(cls, first, second):
-        """A value of ``cls`` storing its two fields unchecked.  Only for
-        classes whose slots are exactly their two ``__match_args__``."""
-        value = object.__new__(cls)
-        first_name, second_name = cls.__match_args__
-        _setattr(value, first_name, first)
-        _setattr(value, second_name, second)
-        return value
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = cls.__match_args__
+        if len(fields) != 2 or cls.__dict__.get("__slots__") != fields:
+            cls._trusted = None
+            return
+        set_first, set_second = (cls.__dict__[name].__set__ for name in fields)
+
+        def trusted(first, second, new=object.__new__):
+            value = new(cls)
+            set_first(value, first)
+            set_second(value, second)
+            return value
+
+        cls._trusted = staticmethod(trusted)
 
     def _astuple(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])
@@ -254,13 +264,18 @@ class GroundSet(_Value):
     def index(self, label: str) -> int:
         try:
             return self._position[label]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable label
             raise InputFormatError(f"unknown point label {label!r}") from None
 
     def mask(self, labels: Iterable[str]) -> "SubsetMask":
         bits = 0
-        for label in labels:
-            bits |= 1 << self.index(label)
+        try:
+            for label in labels:
+                bits |= 1 << self.index(label)
+        except TypeError:  # not iterable
+            raise InputFormatError(
+                f"a set must be a collection of point labels, got {labels!r}"
+            ) from None
         return SubsetMask(self, bits)
 
     def singleton(self, label: str) -> "SubsetMask":
@@ -371,7 +386,9 @@ def _partitions(blocks: tuple[int, ...], first: int, n: int) -> Iterator[tuple[i
     """Every partition of the first ``n`` points that grows ``blocks``, a
     partition of the points below ``first``, as raw block tuples by least bit,
     one at a time: the last point joins each partition of the points below it,
-    block by block, then opens its own."""
+    block by block, then opens its own.  It streams, trivial partition first,
+    for ``all_sigma_algebras`` and ``partitions.set_partitions`` at any size;
+    ``enumerate_extensions`` lists in canonical order instead."""
     if n == first:
         yield blocks
         return
@@ -420,7 +437,12 @@ class SigmaAlgebra(_Value):
     def __init__(self, ground: GroundSet, atoms: tuple[SubsetMask, ...]):
         if not isinstance(ground, GroundSet):
             raise InputFormatError(f"an algebra needs a GroundSet, got {ground!r}")
-        atoms = tuple(atoms)
+        try:
+            atoms = tuple(atoms)
+        except TypeError:
+            raise InputFormatError(
+                f"an algebra needs a collection of atoms, got {atoms!r}"
+            ) from None
         union = 0
         least = 0
         in_order = True
@@ -454,10 +476,6 @@ class SigmaAlgebra(_Value):
         if ground.size == 0:
             return cls(ground, ())
         return cls(ground, (ground.full,))
-
-    @property
-    def n_sets(self) -> int:
-        return 1 << len(self.atoms)
 
     @property
     def is_discrete(self) -> bool:
@@ -505,6 +523,8 @@ def generate_sigma_algebra(
     """
     gens = list(generators)
     for g in gens:
+        if not isinstance(g, SubsetMask):
+            raise InputFormatError(f"generators must be SubsetMasks, got {g!r}")
         if g.ground != ground:
             raise GroundMismatchError("generator over a different ground set")
     atoms = generated_atom_bits(ground.size, (g.bits for g in gens))
@@ -590,6 +610,10 @@ class MeasureSpace(_Value):
             raise InputFormatError(f"a measure space needs a SigmaAlgebra, got {algebra!r}")
         values = atom_values
         if type(values) is not tuple or not all(type(v) is ExtReal for v in values):
+            if not isinstance(values, Iterable):
+                raise InputFormatError(
+                    f"a measure space needs a collection of atom values, got {values!r}"
+                )
             values = tuple(ExtReal.of(v) for v in values)
         if len(values) != len(algebra.atoms):
             raise InputFormatError(
@@ -637,24 +661,6 @@ class MeasureSpace(_Value):
     @property
     def total(self) -> ExtReal:
         return self.measure_of(self.ground.full)
-
-    @property
-    def is_sigma_finite(self) -> bool:
-        """True iff the ground set is a union of finite-measure sets.
-
-        On a finite space that is equivalent to every atom carrying a
-        finite value.  Reported, never required: products accept
-        non-sigma-finite factors under the 0 * inf = 0 convention.
-        """
-        return all(not v.is_infinite for v in self.atom_values)
-
-    def null_sets_cover_ground(self) -> bool:
-        """True iff the union of all null measurable sets is the ground set."""
-        bits = 0
-        for atom, value in zip(self.algebra.atoms, self.atom_values):
-            if value == ZERO:
-                bits |= atom.bits
-        return bits == (1 << self.ground.size) - 1
 
     def __repr__(self) -> str:
         pairs = ", ".join(

@@ -28,7 +28,6 @@ from .core import (
     SubsetMask,
     _check_label,
     _ordered,
-    _partitions,
     _relabel,
     _setattr,
     _trace,
@@ -598,20 +597,18 @@ def enumerate_extensions(
 ) -> list[MeasureSpace]:
     """Every extension of the base by the given fresh points.
 
-    Each fresh point, in order (``core._partitions``), joins a block (a base
-    atom as a fiber point, or an earlier pasted block) or opens a new pasted
-    block, so every extension comes out once.  Atoms sort by least point and the
-    base points come first, so the base atoms keep their order and values
-    ahead of the pasted atoms, which miss X and are null.  Output is
-    canonically sorted and uses the canonical ground order (base points
-    first, extra points sorted lexicographically).
+    Each fresh point joins a block (a base atom as a fiber point, or a
+    pasted block) so every extension comes out once.  Atoms sort by least
+    point and the base points come first, so the base atoms keep their
+    order and values ahead of the pasted atoms, which miss X and are null.
+    Output is canonically sorted and uses the canonical ground order (base
+    points first, extra points sorted lexicographically).
 
-    Every block tuple already lists its blocks in that atom order, which
-    ``_check_partitions`` confirms on raw ints, so the listing is sorted
-    on one bytes key per tuple before any object is built.  Then each
-    distinct block becomes one ``SubsetMask``, and every space is built
-    unchecked from those masks and the base values followed by one
-    ``ZERO`` per pasted block.
+    ``_canonical_blocks`` lists the block tuples already in that order,
+    and ``_check_partitions`` confirms every one on raw ints before any
+    object is built.  Then each distinct block becomes one ``SubsetMask``,
+    and every space is built unchecked from those masks and the base
+    values followed by one ``ZERO`` per pasted block.
     """
     if not isinstance(base, MeasureSpace):
         raise InputFormatError(f"the base must be a MeasureSpace, got {base!r}")
@@ -631,20 +628,56 @@ def enumerate_extensions(
         )
     ground = GroundSet(tuple(base.ground.labels) + tuple(sorted(extras)))
 
-    partitions = list(_partitions(tuple(a.bits for a in base.algebra.atoms), base.ground.size, n))
+    fresh = (1 << n) - (1 << base.ground.size)
+    partitions = _canonical_blocks(tuple(a.bits for a in base.algebra.atoms), fresh)
     _check_partitions(partitions, (1 << n) - 1)
-    # indices + 1 then a 0 terminator: bytes order is index-tuple order
-    distinct = {bits for blocks in partitions for bits in blocks}
-    keys = {bits: bytes(i + 1 for i in bits_key(bits)) + b"\0" for bits in distinct}
-    partitions.sort(key=lambda blocks: b"".join(map(keys.__getitem__, blocks)))
-    masks = {bits: SubsetMask(ground, bits) for bits in keys}
+    masks = {bits: SubsetMask(ground, bits) for bits in set().union(*partitions)}
     k = len(base.algebra.atoms)
-    values = {m: base.atom_values + (ZERO,) * (m - k) for m in set(map(len, partitions))}
+    values = [base.atom_values + (ZERO,) * pasted for pasted in range(len(extras) + 1)]
     algebra, space = SigmaAlgebra._trusted, MeasureSpace._trusted
     return [
-        space(algebra(ground, tuple(map(masks.__getitem__, blocks))), values[len(blocks)])
+        space(algebra(ground, tuple(map(masks.__getitem__, blocks))), values[len(blocks) - k])
         for blocks in partitions
     ]
+
+
+def _canonical_blocks(atom_bits: tuple[int, ...], fresh: int) -> list[tuple[int, ...]]:
+    """Every partition of the base atoms and the ``fresh`` points that keeps
+    the atoms apart, as raw block tuples in canonical order: lexicographic
+    over the blocks, each compared by its index tuple.
+
+    Base atom i takes each subset S of the free fresh points, then each
+    pasted block takes the least free point plus a subset S of the rest.
+    Fresh points lie above the base points, so a block's index tuple is
+    its head's followed by S's: taking each S in index-tuple order, empty
+    first, lists in order.  That is the order of one sorted list of the
+    subsets of ``fresh``, kept by filtering it to each free set.  The
+    tuples after block i depend only on i and the free points, so each
+    such suffix list is built once per call.
+    """
+    order = sorted(_submasks(fresh), key=bits_key)
+    k = len(atom_bits)
+    memo: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+
+    def suffixes(i: int, free: int) -> list[tuple[int, ...]]:
+        if (i, free) in memo:
+            return memo[i, free]
+        if i < k:
+            head, rest, after = atom_bits[i], free, i + 1
+        elif free:
+            head = free & -free
+            rest, after = free ^ head, k
+        else:
+            return [()]
+        memo[i, free] = listed = [
+            (head | s,) + tail
+            for s in order
+            if s & rest == s
+            for tail in suffixes(after, rest ^ s)
+        ]
+        return listed
+
+    return suffixes(0, fresh)
 
 
 def _check_partitions(partitions: list[tuple[int, ...]], full: int) -> None:

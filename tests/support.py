@@ -41,7 +41,7 @@ from measpace import (
     generate_sigma_algebra,
     mask_key,
 )
-from measpace.core import MAX_POINTS
+from measpace.core import MAX_POINTS, _partitions, bits_key
 from measpace.embeddings import ENUMERATION_CAP
 
 
@@ -246,6 +246,19 @@ def trace_algebra_oracle(algebra: SigmaAlgebra, x: SubsetMask, target=None) -> S
     )
 
 
+def canonical_blocks_oracle(atom_bits: tuple[int, ...], first: int, n: int) -> list[tuple]:
+    """The block tuples of every extension of the partition ``atom_bits`` of
+    the first ``first`` points to ``n`` points, in canonical order, as the
+    listing once built them: every tuple from ``core._partitions``, then a
+    sort on one bytes key per tuple (each block's indices + 1, then a 0
+    terminator, so bytes order is index-tuple order over the blocks)."""
+
+    def key(blocks):
+        return b"".join(bytes(i + 1 for i in bits_key(bits)) + b"\0" for bits in blocks)
+
+    return sorted(_partitions(tuple(atom_bits), first, n), key=key)
+
+
 def count_extensions_oracle(base: MeasureSpace, n_extra: int) -> int:
     """Independent count of σ-algebras on X + extras whose trace is the base.
 
@@ -422,9 +435,9 @@ def construct_extension_oracle(kit: ExtensionKit) -> MeasureSpace:
             family.add(bits | relabel_oracle(d, ground).bits)
 
     algebra = generate_sigma_algebra(ground, (SubsetMask(ground, bits) for bits in family))
-    if len(family) != algebra.n_sets:
+    if len(family) != n_sets(algebra):
         raise InvariantError(
-            f"the kit generates {len(family)} sets, but their algebra has {algebra.n_sets}"
+            f"the kit generates {len(family)} sets, but their algebra has {n_sets(algebra)}"
         )
     values = tuple(
         base.measure_of(relabel_oracle(atom & x, base.ground)) for atom in algebra.atoms
@@ -459,6 +472,33 @@ def embedding_report_oracle(small: MeasureSpace, big: MeasureSpace) -> Embedding
         if big.measure_of(c) != small.measure_of(t):
             return EmbeddingReport(False, "measure-mismatch", c)
     return EmbeddingReport(True)
+
+
+# ------------------------------------------------------------- definition predicates
+# Quantities the definitions name that the library itself never needs.
+
+def n_sets(algebra: SigmaAlgebra) -> int:
+    """The number of measurable sets: one per union of atoms."""
+    return 1 << len(algebra.atoms)
+
+
+def is_sigma_finite(ms: MeasureSpace) -> bool:
+    """True iff the ground set is a union of finite-measure sets.
+
+    On a finite space that is equivalent to every atom carrying a finite
+    value.  Products accept non-sigma-finite factors under the
+    0 * inf = 0 convention, so this is only ever reported.
+    """
+    return all(not v.is_infinite for v in ms.atom_values)
+
+
+def null_sets_cover_ground(ms: MeasureSpace) -> bool:
+    """True iff the union of all null measurable sets is the ground set."""
+    bits = 0
+    for atom, value in zip(ms.algebra.atoms, ms.atom_values):
+        if value == ZERO:
+            bits |= atom.bits
+    return bits == (1 << ms.ground.size) - 1
 
 
 # ------------------------------------------------------------- theorem predicates
@@ -498,7 +538,7 @@ def check_sup_property(m, family) -> bool:
     """
     if family.algebra != m.ms.algebra:
         raise GroundMismatchError("family and measure live on different algebras")
-    if not m.ms.null_sets_cover_ground():
+    if not null_sets_cover_ground(m.ms):
         raise PreconditionError("the null sets of the measure do not cover the space")
     union = m.ms.algebra.ground.empty
     for member in family.members:

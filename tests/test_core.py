@@ -41,6 +41,7 @@ from support import (
     inner_measure_oracle,
     is_thick_oracle,
     measure_oracle,
+    n_sets,
     outer_measure_oracle,
     refinement_oracle,
     relabel_oracle,
@@ -118,7 +119,7 @@ def test_ground_rejects_bad_labels():
 def test_empty_ground_is_allowed():
     g = GroundSet(())
     assert g.size == 0
-    assert SigmaAlgebra(g, ()).n_sets == 1
+    assert n_sets(SigmaAlgebra(g, ())) == 1
 
 
 def test_mask_ops_and_ground_mismatch():
@@ -155,6 +156,12 @@ def test_mask_rejects_bits_that_are_not_an_int(bits):
 def test_mask_refuses_a_ground_that_is_not_a_ground_set(ground):
     with pytest.raises(InputFormatError):
         SubsetMask(ground, 1)
+
+
+@pytest.mark.parametrize("labels", [None, 5, [["a"]]])
+def test_mask_refuses_labels_that_are_not_a_collection_of_labels(labels):
+    with pytest.raises(InputFormatError):
+        G("a", "b").mask(labels)
 
 
 def _indices_by_range_walk(mask):
@@ -238,9 +245,13 @@ def test_algebra_refuses_components_that_are_not_a_ground_set_and_masks():
         (g, (g.mask(["a"]), ("b",))),
         (("a", "b"), (g.full,)),
         (None, ()),
+        (g, None),
     ):
         with pytest.raises(InputFormatError):
             SigmaAlgebra(ground, atoms)
+    # generators that are not masks are refused the same way
+    with pytest.raises(InputFormatError):
+        generate_sigma_algebra(g, [1])
 
 
 def test_algebra_accepts_atoms_over_an_equal_ground_object():
@@ -335,7 +346,7 @@ def test_closure_property_exhaustive_up_to_5():
         g = GroundSet(tuple("abcde"[:n]))
         for algebra in all_sigma_algebras(g):
             members = list(algebra.sets())
-            assert len(members) == algebra.n_sets
+            assert len(members) == n_sets(algebra)
             for s in members:
                 assert algebra.member(s.complement())
                 for t in members:
@@ -365,6 +376,8 @@ def test_measure_space_refuses_a_wrong_value_count():
         MeasureSpace(SigmaAlgebra.discrete(g), (ONE,))
     with pytest.raises(InputFormatError, match=r"^need one value per atom: 3 values for 2 atoms$"):
         MeasureSpace(SigmaAlgebra.discrete(g), [1, 2, 3])
+    with pytest.raises(InputFormatError):
+        MeasureSpace(SigmaAlgebra.discrete(g), None)
 
 
 def test_measure_space_refuses_an_algebra_that_is_not_a_sigma_algebra():

@@ -47,6 +47,7 @@ from measpace.core import _relabel as relabel, _trace as trace_pass
 from support import (
     G,
     alg,
+    canonical_blocks_oracle,
     check_thickness_equivalence,
     classify_outside_points_oracle,
     construct_extension_oracle,
@@ -546,6 +547,24 @@ def test_enumerate_matches_filter_oracle():
         cases += 1
         assert enumerate_extensions(base, extras) == enumerate_extensions_oracle(base, extras)
     assert cases == 262
+
+
+def test_canonical_blocks_match_the_sorted_partition_listing():
+    # every base partition on 0-4 points, to every size up to the cap: the
+    # block tuples come out in the order the old full listing was sorted to
+    cases = 0
+    for size in range(5):
+        g = GroundSet(tuple("abcd"[:size]))
+        for algebra in all_sigma_algebras(g):
+            atom_bits = tuple(a.bits for a in algebra.atoms)
+            for n in range(size, embeddings.ENUMERATION_CAP + 1):
+                cases += 1
+                fresh = (1 << n) - (1 << size)
+                listed = embeddings._canonical_blocks(atom_bits, fresh)
+                assert listed == canonical_blocks_oracle(atom_bits, size, n)
+                # nothing is kept between calls: a second call lists anew
+                assert embeddings._canonical_blocks(atom_bits, fresh) is not listed
+    assert cases == 136
 
 
 def test_enumerate_shares_one_mask_per_block():

@@ -40,6 +40,7 @@ from support import (
     family_members_oracle,
     has_cip_oracle,
     lift_to_superspace_oracle,
+    null_sets_cover_ground,
     outcome,
     principal_ultrafilter_oracle,
     restrict_by_trace_oracle,
@@ -381,7 +382,7 @@ def test_dictionary_bijection_up_to_4():
                 back = ultrafilter_from_01_measure(m)
                 assert back.members == u.members and back.kernel == u.kernel
                 # a nontrivial {0,1}-valued measure never has null sets covering X
-                assert not m.ms.null_sets_cover_ground()
+                assert not null_sets_cover_ground(m.ms)
 
 
 # ------------------------------------------------------------- sup property

@@ -25,6 +25,7 @@ from measpace import (
 from support import (
     G,
     alg,
+    is_sigma_finite,
     lift_ultrafilter_oracle,
     outcome,
     project_ultrafilter_oracle,
@@ -59,8 +60,8 @@ def test_product_convention_zero_times_inf():
     ps = product_space(left, right)
     assert ps.product.atom_values == (ZERO,)
     # sigma-finiteness is reported, not required
-    assert not left.is_sigma_finite
-    assert right.is_sigma_finite and ps.product.is_sigma_finite
+    assert not is_sigma_finite(left)
+    assert is_sigma_finite(right) and is_sigma_finite(ps.product)
 
 
 def test_product_with_trivial_right_is_left_copy():

@@ -128,6 +128,33 @@ def test_keyword_construction_with_defaults():
     assert fields(OutsidePointClass(kind="pasted")) == ("pasted", ())
 
 
+@pytest.mark.parametrize("cls", [SubsetMask, SigmaAlgebra, MeasureSpace], ids=lambda c: c.__name__)
+def test_trusted_values_behave_like_checked_ones(cls):
+    # _trusted stores the two fields through the slots' own setters
+    checked = SAMPLES[cls]
+    built = cls._trusted(*fields(checked))
+    assert type(built) is cls and fields(built) == fields(checked)
+    assert built == checked and hash(built) == hash(checked)
+    for twin in (copy.copy(built), copy.deepcopy(built), pickle.loads(pickle.dumps(built))):
+        assert type(twin) is cls and twin == checked
+    for name in (*cls.__match_args__, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(built, name, None)
+    assert not hasattr(built, "__dict__")
+
+
+def test_only_classes_whose_slots_are_two_fields_have_trusted():
+    assert OutsidePointClass._trusted("pasted", ()) == OutsidePointClass("pasted")
+    for cls in (ExtReal, GroundSet, EmbeddingReport, ZeroOneMeasure, ProductSpace):
+        assert cls._trusted is None
+
+    # a subclass never inherits a builder of its parent's values
+    class Twin(OutsidePointClass):
+        __slots__ = ()
+
+    assert Twin._trusted is None
+
+
 @pytest.mark.parametrize("value", VALUES, ids=IDS)
 def test_copy_deepcopy_and_pickle_give_an_equal_value(value):
     for twin in (
