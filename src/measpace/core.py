@@ -47,6 +47,11 @@ def _ordered(items, what: str) -> tuple:
     return tuple(items)
 
 
+def _not_a_set(s) -> InputFormatError:
+    """The refusal of a set argument that is not a ``SubsetMask``."""
+    return InputFormatError(f"a set must be a SubsetMask, got {s!r}")
+
+
 def _check_label(label) -> None:
     """Refuse a label that a label list or a comma-joined set key cannot
     carry unambiguously: anything but a nonempty string without ','."""
@@ -484,6 +489,8 @@ class SigmaAlgebra(_Value):
 
     def member(self, s: SubsetMask) -> bool:
         """True iff ``s`` is a union of atoms."""
+        if not isinstance(s, SubsetMask):
+            raise _not_a_set(s)
         if s.ground is not self.ground and s.ground != self.ground:
             raise GroundMismatchError("set over a different ground set")
         for atom in self.atoms:
@@ -521,7 +528,14 @@ def generate_sigma_algebra(
     them, so the atoms are the blocks of the common refinement of the
     generators and their complements.
     """
-    gens = list(generators)
+    if not isinstance(ground, GroundSet):
+        raise InputFormatError(f"an algebra needs a GroundSet, got {ground!r}")
+    try:
+        gens = list(generators)
+    except TypeError:
+        raise InputFormatError(
+            f"generators must be a collection of SubsetMasks, got {generators!r}"
+        ) from None
     for g in gens:
         if not isinstance(g, SubsetMask):
             raise InputFormatError(f"generators must be SubsetMasks, got {g!r}")
@@ -561,8 +575,26 @@ def _relabel(bits: int, source: GroundSet, target: GroundSet) -> int:
     return sum(1 << target.index(source.labels[i]) for i in bits_key(bits))
 
 
+def _bit_table(source: GroundSet, target: GroundSet) -> tuple[int, list[int]]:
+    """The points of ``source`` whose labels ``target`` has, as raw bits,
+    and the table whose entry i is the bit point i takes in ``target`` (0
+    if none), from one lookup per point of ``target``.  A set of those
+    points moves onto ``target`` as the sum of its points' entries."""
+    table = [0] * len(source.labels)
+    inside = 0
+    position = source._position
+    for j, label in enumerate(target.labels):
+        i = position.get(label)
+        if i is not None:
+            table[i] = 1 << j
+            inside |= 1 << i
+    return inside, table
+
+
 def transfer_mask(mask: SubsetMask, target: GroundSet) -> SubsetMask:
     """Re-express a mask over another ground set containing its labels."""
+    if not isinstance(mask, SubsetMask):
+        raise _not_a_set(mask)
     return SubsetMask(target, _relabel(mask.bits, mask.ground, target))
 
 
@@ -571,14 +603,23 @@ def _trace(
 ) -> tuple[SigmaAlgebra, list[int]]:
     """The one trace pass: ``trace_algebra``, and for each of its atoms in
     order the index of the atom A of ``algebra`` it is cut from.  Each
-    A & X is moved on raw bits; atoms are disjoint, so each point of X is
-    moved once, and the cuts' distinct least points put them in order.
+    A & X is moved on raw bits through one ``_bit_table``; atoms are
+    disjoint, so each point of X is moved once, and the cuts' distinct
+    least points put them in order.  A point of X that ``target`` lacks
+    is named as a lookup atom by atom would meet it first.
     """
+    if not isinstance(x, SubsetMask):
+        raise _not_a_set(x)
     if x.ground != algebra.ground:
         raise GroundMismatchError("trace set over a different ground set")
     if target is None:
         target = GroundSet(x.labels())
-    cut = [_relabel(atom.bits & x.bits, algebra.ground, target) for atom in algebra.atoms]
+    inside, move = _bit_table(algebra.ground, target)
+    missing = x.bits & ~inside
+    if missing:
+        first = next(atom.bits & missing for atom in algebra.atoms if atom.bits & missing)
+        target.index(algebra.ground.labels[bits_key(first)[0]])
+    cut = [sum(map(move.__getitem__, bits_key(atom.bits & x.bits))) for atom in algebra.atoms]
     sources = sorted((i for i, b in enumerate(cut) if b), key=lambda i: cut[i] & -cut[i])
     return SigmaAlgebra(target, tuple(SubsetMask(target, cut[i]) for i in sources)), sources
 
@@ -638,6 +679,8 @@ class MeasureSpace(_Value):
         ``s`` need not be measurable.  The least such C is the union of the
         atoms that meet ``s``.
         """
+        if not isinstance(s, SubsetMask):
+            raise _not_a_set(s)
         if s.ground is not self.algebra.ground and s.ground != self.algebra.ground:
             raise GroundMismatchError("set over a different ground set")
         pairs = zip(self.algebra.atoms, self.atom_values)
@@ -645,6 +688,8 @@ class MeasureSpace(_Value):
 
     def inner_measure(self, s: SubsetMask) -> ExtReal:
         """max over measurable C <= s of the measure of C: the atoms inside ``s``."""
+        if not isinstance(s, SubsetMask):
+            raise _not_a_set(s)
         if s.ground is not self.algebra.ground and s.ground != self.algebra.ground:
             raise GroundMismatchError("set over a different ground set")
         pairs = zip(self.algebra.atoms, self.atom_values)
@@ -656,6 +701,8 @@ class MeasureSpace(_Value):
         Equivalently: every measurable set disjoint from ``x`` is null,
         i.e. ``x`` has full outer measure.
         """
+        if not isinstance(x, SubsetMask):
+            raise _not_a_set(x)
         return self.inner_measure(x.complement()) == ZERO
 
     @property

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
 from functools import cache, reduce
-from operator import or_
+from itertools import chain, repeat
+from operator import attrgetter, is_, or_
 
 from .core import (
     MAX_POINTS,
@@ -26,7 +27,9 @@ from .core import (
     MeasureSpace,
     SigmaAlgebra,
     SubsetMask,
+    _bit_table,
     _check_label,
+    _not_a_set,
     _ordered,
     _relabel,
     _setattr,
@@ -51,15 +54,18 @@ from .errors import (
 ENUMERATION_CAP = 8
 
 
-def _embedded_mask(small: GroundSet, big: GroundSet) -> SubsetMask:
-    if not set(small.labels) <= set(big.labels):
+def _embedded(small: GroundSet, big: GroundSet) -> tuple[int, list[int]]:
+    """X, the points of ``big`` that ``small`` labels, as raw bits, and the
+    ``_bit_table`` that moves them onto ``small``."""
+    x, move = _bit_table(big, small)
+    if x.bit_count() != len(small.labels):
         raise GroundMismatchError("the small ground set is not a subset of the big one")
-    return big.mask(small.labels)
+    return x, move
 
 
 def check_measurable_embedding(small: SigmaAlgebra, big: SigmaAlgebra) -> bool:
     """True iff the trace of ``big`` on the small ground set equals ``small``."""
-    x = _embedded_mask(small.ground, big.ground)
+    x = SubsetMask(big.ground, _embedded(small.ground, big.ground)[0])
     return trace_algebra(big, x, small.ground) == small
 
 
@@ -85,6 +91,24 @@ def _trace_space(big: MeasureSpace, x: SubsetMask, target: GroundSet | None = No
     return MeasureSpace(algebra, tuple(big.atom_values[i] for i in sources)), sources
 
 
+def _embeds(small: MeasureSpace, big: MeasureSpace, x: int, move: list[int]) -> bool:
+    """True iff X is thick and the trace space of ``big`` on X, in the small
+    ground's label order, equals ``small``, decided on raw bits: every big
+    atom that misses X is null, and the cuts A & X of the others, moved
+    through ``move``, are exactly the atoms of ``small``, each with A's value.
+    """
+    value_of = dict(zip(map(attrgetter("bits"), small.algebra.atoms), small.atom_values))
+    for atom, value in zip(big.algebra.atoms, big.atom_values):
+        cut = atom.bits & x
+        if not cut:
+            if value != ZERO:
+                return False
+        # a cut that is no atom of small, or one met twice, gets None
+        elif value_of.pop(sum(map(move.__getitem__, bits_key(cut))), None) != value:
+            return False
+    return not value_of
+
+
 def measure_embedding_report(small: MeasureSpace, big: MeasureSpace) -> EmbeddingReport:
     """Check the embedding and, if it fails, name a concrete counterexample.
 
@@ -93,7 +117,9 @@ def measure_embedding_report(small: MeasureSpace, big: MeasureSpace) -> Embeddin
     big atom A that misses X must weigh mu(empty) = 0, and one that meets
     X must weigh mu(A & X), where A & X is an atom of ``small`` once the
     traces agree.  Both measures are additive, so agreement on the atoms
-    is agreement on every measurable set.  Only a failing pair is scanned
+    is agreement on every measurable set.  ``_embeds`` decides this on
+    raw bits, moving each cut through one label-to-bit table, and builds
+    no ground set, mask, algebra or space.  Only a failing pair is scanned
     set by set, in canonical order, for the witness: either a big-side
     set whose trace is not measurable in the small algebra (or whose
     measure disagrees with the trace measure), or a small-side set that
@@ -101,9 +127,14 @@ def measure_embedding_report(small: MeasureSpace, big: MeasureSpace) -> Embeddin
     first pass keeps each (set, trace) pair, and the measure pass reads
     them back.  A refusal that no set backs raises :class:`InvariantError`.
     """
-    x = _embedded_mask(small.ground, big.ground)
-    if big.is_thick(x) and _trace_space(big, x, small.ground)[0] == small:
+    if not isinstance(small, MeasureSpace) or not isinstance(big, MeasureSpace):
+        raise InputFormatError(
+            f"an embedding check needs two MeasureSpaces, got {small!r} and {big!r}"
+        )
+    x, move = _embedded(small.ground, big.ground)
+    if _embeds(small, big, x, move):
         return EmbeddingReport(True)
+    x = SubsetMask(big.ground, x)
     traced = []
     for c in big.algebra.sorted_sets():
         t = transfer_mask(c & x, small.ground)
@@ -158,25 +189,39 @@ class ExtensionKit(_Value):
             raise InputFormatError(
                 f"a kit's dfamily and fibers must be mappings, got {dfamily!r} and {fibers!r}"
             )
-        families = {}
-        # a family object shared by many keys is checked once; each entry
-        # holds its object, so no later family can take over its id
-        checked: dict[int, tuple] = {}
-        for key, members in dfamily.items():
-            if id(members) in checked:
-                family, unchecked = checked[id(members)][1], ()
-            elif not isinstance(members, Iterable):
-                raise InputFormatError(f"the pasted family of {key!r} is not a collection")
-            else:
-                # read once; each member is type-checked before it is hashed
-                family = unchecked = members if isinstance(members, frozenset) else tuple(members)
-            for mask in (key, *unchecked):
-                if not isinstance(mask, SubsetMask):
-                    raise InputFormatError(f"a kit's dfamily must hold SubsetMasks, got {mask!r}")
-            if unchecked is family:  # first sight: store the checked family
-                family = frozenset(family)
-                checked[id(members)] = members, family
-            families[key] = family
+        # ``values`` holds every family object, so no two share an id; a
+        # family shared by many keys is read and checked once, and each
+        # member is type-checked before it is hashed
+        keys, values = list(dfamily), list(dfamily.values())
+        typed = all(map(isinstance, keys, repeat(SubsetMask)))
+        reads: dict[int, Iterable] = {}
+        for i, members in dict(zip(map(id, values), values)).items() if typed else ():
+            if not isinstance(members, Iterable):
+                typed = False
+                break
+            reads[i] = read = members if isinstance(members, frozenset) else tuple(members)
+            if not all(map(isinstance, read, repeat(SubsetMask))):
+                typed = False
+                break
+        if not typed:  # name the first refused entry in dict order, key before members
+            seen = set()
+            for key, members in zip(keys, values):
+                if id(members) not in reads:
+                    if not isinstance(members, Iterable):
+                        raise InputFormatError(f"the pasted family of {key!r} is not a collection")
+                    read = members if isinstance(members, frozenset) else tuple(members)
+                    reads[id(members)] = read
+                for mask in (key, *(() if id(members) in seen else reads[id(members)])):
+                    if not isinstance(mask, SubsetMask):
+                        raise InputFormatError(
+                            f"a kit's dfamily must hold SubsetMasks, got {mask!r}"
+                        )
+                seen.add(id(members))
+        frozen = {i: frozenset(read) for i, read in reads.items()}
+        if type(dfamily) is dict and all(map(is_, frozen.values(), reads.values())):
+            families = dfamily.copy()  # every family is a frozenset: the copy keeps key hashes
+        else:
+            families = dict(zip(keys, map(frozen.__getitem__, map(id, values))))
         fiber_labels = {}
         for kernel, labels in fibers.items():
             fiber_labels[kernel] = labels = _ordered(labels, "fiber labels")
@@ -202,8 +247,7 @@ def full_dfamily(
     base_algebra: SigmaAlgebra, pasted: SigmaAlgebra
 ) -> dict[SubsetMask, frozenset[SubsetMask]]:
     """The constant-full family D_B = D, valid for any pasted space."""
-    everything = frozenset(pasted.sets())
-    return {b: everything for b in base_algebra.sets()}
+    return dict.fromkeys(base_algebra.sets(), frozenset(pasted.sets()))
 
 
 def auto_fibers(sizes: Mapping[SubsetMask, int]) -> dict[SubsetMask, tuple[str, ...]]:
@@ -242,7 +286,11 @@ def validate_kit(kit: ExtensionKit) -> list[str]:
     the algebra it generates, which has 2**blocks sets, where blocks
     counts the classes of points of X + Z that no member of G separates.
     So G is closed, which is exactly the three conditions, iff
-    |G| = 2**blocks.  A valid kit builds no mask and sorts nothing.
+    |G| = 2**blocks.  The count is exact without building G: the keys
+    are distinct sets over X and each family's members distinct sets
+    over Z, which the shift keeps apart from X, so the members B + D are
+    distinct and |G| is the sum of the family sizes.  A valid kit builds
+    no mask and sorts nothing.
 
     Only failing entries are sorted, to list them in canonical order.  A
     refused count is listed condition by condition, the union condition
@@ -257,6 +305,8 @@ def validate_kit(kit: ExtensionKit) -> list[str]:
 
 def _checked(kit: ExtensionKit) -> tuple[list[str], list[int] | None]:
     """validate_kit's problems and G's blocks (None unless the count holds)."""
+    if not isinstance(kit, ExtensionKit):
+        raise InputFormatError(f"a kit must be an ExtensionKit, got {kit!r}")
     problems, typed = _shape_problems(kit)
     blocks = _closed_blocks(kit) if typed else None
     if typed and blocks is None:
@@ -288,7 +338,10 @@ def _shape_problems(kit: ExtensionKit) -> tuple[list[str], bool]:
     ]
 
     measurable = set(_unions(atom.bits for atom in base_alg.atoms))
-    keyed = {b.bits: ds for b, ds in kit.dfamily.items() if b.ground is x or b.ground == x}
+    if all(map(is_, map(attrgetter("ground"), kit.dfamily), repeat(x))):
+        keyed = dict(zip(map(attrgetter("bits"), kit.dfamily), kit.dfamily.values()))
+    else:
+        keyed = {b.bits: ds for b, ds in kit.dfamily.items() if b.ground is x or b.ground == x}
     missing = measurable.difference(keyed)
     # with no key missing, as many keys as measurable sets leave none extra
     scan = kit.dfamily if missing or len(kit.dfamily) != len(measurable) else ()
@@ -297,13 +350,18 @@ def _shape_problems(kit: ExtensionKit) -> tuple[list[str], bool]:
     ]
     z_measurable = set(_unions(atom.bits for atom in pasted.atoms))
     # equal families are unioned once, a family shared by every key too
+    distinct = set(kit.dfamily.values())
     wrong = {
         d
-        for d in set().union(*set(kit.dfamily.values()))
+        for d in set().union(*distinct)
         if not ((d.ground is z or d.ground == z) and d.bits in z_measurable)
     }
     # a family is listed only under a measurable key; another key is listed as extra
-    failing = [bits for bits, ds in keyed.items() if not ds or wrong and not wrong.isdisjoint(ds)]
+    failing = (
+        [bits for bits, ds in keyed.items() if not ds or wrong and not wrong.isdisjoint(ds)]
+        if wrong or frozenset() in distinct
+        else []
+    )
     typed = not (missing or extra or failing)
     if typed and not (collision or bad_fibers):
         return [], True
@@ -348,16 +406,22 @@ def _shape_problems(kit: ExtensionKit) -> tuple[list[str], bool]:
 def _closed_blocks(kit: ExtensionKit) -> list[int] | None:
     """The blocks of G on X + Z if |G| = 2**blocks (see validate_kit), else None.
 
-    Only a typed kit gets here, so every member B + D of G is a union of
-    the k base atoms and the m pasted atoms, shifted past X.  Those k + m
-    cells cover X + Z, so G has at most k + m blocks, and the refinement
-    stops once it has that many: no later member can split a cell.
+    Only a typed kit gets here.  Its keys are distinct sets over X and the
+    members of each family distinct sets over Z, shifted past X where no
+    key reaches, so the members B + D of G are all distinct and |G| is the
+    sum of the family sizes: G is counted, never built.  Every member is a
+    union of the k base atoms and the m pasted atoms.  Those k + m cells
+    cover X + Z, so G has at most k + m blocks, and the refinement stops
+    once it has that many: no later member can split a cell.  The members
+    under the base atoms come first, as they split the cells soonest; a
+    member met again splits nothing.
     """
     shift = kit.base.ground.size
-    generated = {b.bits | d.bits << shift for b, ds in kit.dfamily.items() for d in ds}
-    cells = len(kit.base.algebra.atoms) + len(kit.pasted.atoms)
+    families, atoms = kit.dfamily, kit.base.algebra.atoms
+    generated = (b.bits | d.bits << shift for b in chain(atoms, families) for d in families[b])
+    cells = len(atoms) + len(kit.pasted.atoms)
     blocks = generated_atom_bits(shift + kit.pasted.ground.size, generated, cells)
-    return blocks if len(generated) == 1 << len(blocks) else None
+    return blocks if sum(map(len, families.values())) == 1 << len(blocks) else None
 
 
 def _submasks(bits: int) -> Iterator[int]:
@@ -527,6 +591,10 @@ def _induced_base(big: MeasureSpace, x: SubsetMask) -> tuple:
     embeds exactly when X is thick (see ``measure_embedding_report``).
     Only a refusal runs the embedding report, for its reason and witness.
     """
+    if not isinstance(big, MeasureSpace):
+        raise InputFormatError(f"an extension must be a MeasureSpace, got {big!r}")
+    if not isinstance(x, SubsetMask):
+        raise _not_a_set(x)
     if x.ground != big.ground:
         raise GroundMismatchError("x is over a different ground set")
     small, sources = _trace_space(big, x)

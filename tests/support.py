@@ -102,6 +102,16 @@ def refinement_oracle(n_points: int, generator_bits) -> list[int]:
     return sorted(blocks.values(), key=lambda b: b & -b)
 
 
+def closed_blocks_oracle(kit: ExtensionKit) -> list[int] | None:
+    """The closure count by building G: the set of every B + D, D in D_B,
+    with D shifted past X, refined by all its members.  Its blocks, by
+    least point, if |G| = 2**blocks, else None.  Any kit is accepted."""
+    shift = kit.base.ground.size
+    generated = {b.bits | d.bits << shift for b, ds in kit.dfamily.items() for d in ds}
+    blocks = refinement_oracle(shift + kit.pasted.ground.size, generated)
+    return blocks if len(generated) == 1 << len(blocks) else None
+
+
 def bits_key_oracle(bits: int) -> tuple[int, ...]:
     """The point indices of a raw bitmask, one bit position at a time."""
     return tuple(i for i in range(bits.bit_length()) if bits >> i & 1)

@@ -164,6 +164,24 @@ def test_mask_refuses_labels_that_are_not_a_collection_of_labels(labels):
         G("a", "b").mask(labels)
 
 
+@pytest.mark.parametrize("s", [None, "a", 3, ("a",), G("a", "b")], ids=repr)
+def test_set_taking_calls_refuse_a_set_that_is_not_a_mask(s):
+    # a set of the wrong type is an input error, not an AttributeError
+    g = G("a", "b")
+    ms = MeasureSpace(SigmaAlgebra.discrete(g), (ONE, ZERO))
+    for call in (
+        ms.algebra.member,
+        ms.measure_of,
+        ms.inner_measure,
+        ms.outer_measure,
+        ms.is_thick,
+        lambda s: trace_algebra(ms.algebra, s),
+        lambda s: transfer_mask(s, g),
+    ):
+        with pytest.raises(InputFormatError, match=r"^a set must be a SubsetMask, got "):
+            call(s)
+
+
 def _indices_by_range_walk(mask):
     return tuple(i for i in range(mask.ground.size) if mask.bits >> i & 1)
 
@@ -249,9 +267,11 @@ def test_algebra_refuses_components_that_are_not_a_ground_set_and_masks():
     ):
         with pytest.raises(InputFormatError):
             SigmaAlgebra(ground, atoms)
-    # generators that are not masks are refused the same way
-    with pytest.raises(InputFormatError):
-        generate_sigma_algebra(g, [1])
+    # generators that are not masks, or no collection, and a ground that
+    # is no ground set are refused the same way
+    for ground, generators in ((g, [1]), (g, None), (g, 5), (None, []), (("a", "b"), [])):
+        with pytest.raises(InputFormatError):
+            generate_sigma_algebra(ground, generators)
 
 
 def test_algebra_accepts_atoms_over_an_equal_ground_object():
@@ -571,6 +591,25 @@ def test_trace_algebra_atoms():
     tr = trace_algebra(algebra, g.mask(["b", "c"]))
     assert tr.ground.labels == ("b", "c")
     assert [a.labels() for a in tr.atoms] == [("b",), ("c",)]
+
+
+def test_trace_algebra_refuses_a_target_that_is_not_x():
+    # a point of X that the target lacks is named as an atom-by-atom walk
+    # meets it first: {d} lies in the first atom, before {b}; a target
+    # label outside X leaves the target uncovered
+    g = G("a", "b", "c", "d")
+    algebra = alg(g, ["a", "d"], ["b"], ["c"])
+    x = g.mask(["b", "d"])
+    for labels, message in (
+        (("q",), "unknown point label 'd'"),
+        (("b",), "unknown point label 'd'"),
+        (("d",), "unknown point label 'b'"),
+        (("b", "d", "e"), "atoms must cover the ground set"),
+        (("b", "d", "a"), "atoms must cover the ground set"),
+    ):
+        with pytest.raises(InputFormatError, match=f"^{message}$"):
+            trace_algebra(algebra, x, GroundSet(labels))
+    assert [a.labels() for a in trace_algebra(algebra, x, G("d", "b")).atoms] == [("d",), ("b",)]
 
 
 def test_trace_pass_matches_its_definition():

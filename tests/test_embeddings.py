@@ -50,6 +50,7 @@ from support import (
     canonical_blocks_oracle,
     check_thickness_equivalence,
     classify_outside_points_oracle,
+    closed_blocks_oracle,
     construct_extension_oracle,
     count_extensions_oracle,
     decompose_extension_oracle,
@@ -267,6 +268,28 @@ def test_kit_refuses_a_base_or_pasted_part_of_the_wrong_type():
             ExtensionKit(kit_base, kit_pasted, {}, {})
 
 
+def test_kit_path_entry_points_refuse_arguments_of_the_wrong_type():
+    # an argument of the wrong type is an input error, not an AttributeError
+    ms = space(G("a", "p"), (["a", "p"],), (1,))
+    x = ms.ground.mask(["a"])
+    kit = identity_kit(one_point_base())
+    for call, message in (
+        (lambda: validate_kit(None), "a kit must be an ExtensionKit, got None"),
+        (lambda: construct_extension(None), "a kit must be an ExtensionKit, got None"),
+        (lambda: validate_kit(ms), "a kit must be an ExtensionKit, got MeasureSpace"),
+        (lambda: decompose_extension(ms, None), "a set must be a SubsetMask, got None"),
+        (lambda: decompose_extension(None, x), "an extension must be a MeasureSpace, got None"),
+        (lambda: decompose_extension(kit, x), "an extension must be a MeasureSpace, got "),
+        (lambda: classify_outside_points(ms, None), "a set must be a SubsetMask, got None"),
+        (lambda: classify_outside_points(ms, ["a"]), "a set must be a SubsetMask, got"),
+        (lambda: measure_embedding_report(None, ms), "two MeasureSpaces, got None and "),
+        (lambda: measure_embedding_report(ms, ms.algebra), "two MeasureSpaces, got "),
+        (lambda: check_measure_embedding(ms.algebra, ms), "two MeasureSpaces, got "),
+    ):
+        with pytest.raises(InputFormatError, match=message):
+            call()
+
+
 def test_kit_refuses_a_dfamily_or_fibers_of_the_wrong_type():
     # each of these used to escape as an AttributeError, or as a fiber of
     # one-letter labels, instead of an input error
@@ -292,6 +315,8 @@ def test_kit_refuses_a_dfamily_or_fibers_of_the_wrong_type():
             ExtensionKit(base, pasted, dfamily, fibers)
     kit = ExtensionKit(base, pasted, good, {atom: ["p"]})
     assert kit.fibers == {atom: ("p",)} and validate_kit(kit) == []
+    # the kit holds its own dict, which a change to the caller's leaves alone
+    assert kit.dfamily == good and kit.dfamily is not good
 
 
 def test_kit_checks_a_family_shared_by_several_keys_once():
@@ -321,6 +346,29 @@ def test_kit_checks_a_family_shared_by_several_keys_once():
     with pytest.raises(InputFormatError) as err:
         ExtensionKit(base, pasted, {**dict.fromkeys(keys, family), "b": family}, {})
     assert str(err.value) == "a kit's dfamily must hold SubsetMasks, got 'b'"
+
+
+def test_kit_names_the_first_refused_dfamily_entry_in_dict_order():
+    # the entries are walked in dict order, each key before its family's
+    # members, so a bad member in entry 1 wins over a bad key in entry 2,
+    # and a family that is no collection only when its entry comes first
+    base = space(G("a", "b"), (["a"], ["b"]), (1, 2))
+    pasted = z_algebra()
+    first, second, *rest = base.algebra.sets()
+    good = frozenset(pasted.sets())
+    once = iter([pasted.ground.empty, "m"])  # a one-shot family is read once
+    for dfamily, message in (
+        ({first: [pasted.ground.empty, "m"], "k": good}, "got 'm'"),
+        ({first: once, "k": good}, "got 'm'"),
+        ({"k": good, first: [pasted.ground.empty, "m"]}, "got 'k'"),
+        ({first: good, second: None, "k": good}, f"family of {second!r} is not a collection"),
+        ({"k": good, second: None}, "got 'k'"),
+        ({first: good, second: good, "k": None}, "family of 'k' is not a collection"),
+        ({first: [1], second: [2]}, "got 1"),
+        ({first: good, second: ["m"], rest[0]: None}, "got 'm'"),
+    ):
+        with pytest.raises(InputFormatError, match=message):
+            ExtensionKit(base, pasted, dfamily, {})
 
 
 @pytest.mark.parametrize(
@@ -361,9 +409,10 @@ def test_auto_fibers_refuses_a_size_past_the_point_cap(size):
 
 def test_construct_checks_its_result_without_assert(monkeypatch):
     # both invariants raise a library error, which python -O cannot strip;
-    # validation is skipped, but its closure count still gives the blocks
+    # validation is skipped, and the closure count of the oracle, which
+    # takes an untyped kit too, gives the blocks
     base = one_point_base()
-    monkeypatch.setattr(embeddings, "_checked", lambda kit: ([], embeddings._closed_blocks(kit)))
+    monkeypatch.setattr(embeddings, "_checked", lambda kit: ([], closed_blocks_oracle(kit)))
 
     # closed, but one atom spans both base atoms
     two = space(G("a", "b"), (["a"], ["b"]), (1, 1))
@@ -387,7 +436,7 @@ def test_a_fast_refusal_without_a_witness_raises(monkeypatch):
     with pytest.raises(InvariantError, match="no condition contradicts"):
         validate_kit(kit)
 
-    monkeypatch.setattr(embeddings, "_trace_space", lambda big, x, target=None: (None, []))
+    monkeypatch.setattr(embeddings, "_embeds", lambda small, big, x, move: False)
     with pytest.raises(InvariantError, match="no set contradicts"):
         measure_embedding_report(base, base)
 
@@ -804,24 +853,57 @@ def test_validate_kit_matches_oracle_on_criterion_4_kits():
 
 def test_stopped_refinement_gives_the_full_blocks_on_criterion_4_kits():
     # a typed kit's G is made of unions of its k + m cells, so stopping at
-    # k + m blocks leaves the blocks every member would give
+    # k + m blocks leaves the blocks every member would give, and counting
+    # G gives its size; the order of the blocks is the refinement's own,
+    # so they are compared as sets (SigmaAlgebra sorts its atoms)
     typed = stopped = 0
-    for kit, _, _ in _criterion_4_cases():
+    decomposed = [
+        decompose_extension(ext, ext.ground.mask(base.ground.labels)).kit
+        for base, ext in _extensions_up_to(5)
+    ]
+    for kit in [case[0] for case in _criterion_4_cases()] + decomposed:
         if not embeddings._shape_problems(kit)[1]:
             continue
-        shift = kit.base.ground.size
-        size = shift + kit.pasted.ground.size
-        generated = {b.bits | d.bits << shift for b, ds in kit.dfamily.items() for d in ds}
-        cells = len(kit.base.algebra.atoms) + len(kit.pasted.atoms)
-        blocks = embeddings.generated_atom_bits(size, generated, cells)
-        # size + 1 blocks are never reached, so every member is applied
-        assert blocks == embeddings.generated_atom_bits(size, generated, size + 1)
-        assert sorted(blocks, key=lambda b: b & -b) == refinement_oracle(size, generated)
+        expected = closed_blocks_oracle(kit)
         closed = embeddings._closed_blocks(kit)
-        assert closed == (blocks if len(generated) == 1 << len(blocks) else None)
+        assert (closed is None) == (expected is None)
+        if closed is not None:
+            assert len(closed) == len(expected) and set(closed) == set(expected)
+        shift = kit.base.ground.size
+        generated = {b.bits | d.bits << shift for b, ds in kit.dfamily.items() for d in ds}
+        blocks = refinement_oracle(shift + kit.pasted.ground.size, generated)
         typed += 1
-        stopped += len(blocks) == cells
+        stopped += len(blocks) == len(kit.base.algebra.atoms) + len(kit.pasted.atoms)
     assert typed > 1000 and stopped > 500
+
+
+def _cap_kit():
+    """The decomposed kit of a discrete 15-atom space plus one null pasted
+    point: 16 points, 2**15 keys that share one two-member family."""
+    ground = GroundSet(tuple(f"x{i:02}" for i in range(15)) + ("z",))
+    big = MeasureSpace(SigmaAlgebra.discrete(ground), (ONE,) * 15 + (ZERO,))
+    kit = decompose_extension(big, ground.mask(ground.labels[:15])).kit
+    assert len(kit.dfamily) == 1 << 15 and len(kit.pasted.atoms) == 1
+    return big, kit
+
+
+def test_closure_count_reads_few_members_at_the_cap(monkeypatch):
+    # the base atoms' members come first and split all 16 cells, so the
+    # refinement stops after at most (k + 1) * |D| of the 65,536 members
+    big, kit = _cap_kit()
+    read, refine = [], embeddings.generated_atom_bits
+
+    def counted(size, generator_bits, most=None):
+        def stream():
+            for g in generator_bits:
+                read.append(g)
+                yield g
+        return refine(size, stream(), most)
+
+    monkeypatch.setattr(embeddings, "generated_atom_bits", counted)
+    assert validate_kit(kit) == []
+    assert 0 < len(read) <= (15 + 1) * 2
+    assert construct_extension(kit) == big
 
 
 def test_validate_kit_lists_a_non_measurable_member_of_a_shared_family_once_per_key():
@@ -1040,14 +1122,36 @@ def test_construct_extension_measures_no_set_and_moves_no_pair(monkeypatch):
         moves.append(bits)
         return relabel(bits, source, target)
 
+    def counted_table(source, target):
+        tables.append(target)
+        return bit_table(source, target)
+
+    tables, bit_table = [], embeddings._bit_table
     monkeypatch.setattr(MeasureSpace, "measure_of", refuse)
     monkeypatch.setattr(embeddings, "transfer_mask", refuse)
     monkeypatch.setattr(embeddings, "_trace", counted_pass)
     monkeypatch.setattr(core, "_relabel", counted_move)
+    monkeypatch.setattr(embeddings, "_bit_table", counted_table)
+    built = []
+    for cls in (GroundSet, SigmaAlgebra, MeasureSpace):
+        monkeypatch.setattr(cls, "__init__", _counted_init(cls.__init__, built))
     assert construct_extension(kit) == expected
-    # only the closing embedding check traces, in one pass that moves each atom once
-    assert len(passes) == 1
-    assert len(moves) == len(expected.algebra.atoms)
+    # the closing embedding check makes no trace pass, builds no ground,
+    # algebra or space besides the result's, and moves its cuts through
+    # one label-to-bit table onto the base ground
+    assert passes == moves == []
+    assert built == [GroundSet, SigmaAlgebra, MeasureSpace]
+    assert tables == [kit.base.ground]
+
+
+def _counted_init(init, built):
+    """``init``, appending the class of each value it builds to ``built``."""
+
+    def counted(self, *args):
+        built.append(type(self))
+        init(self, *args)
+
+    return counted
 
 
 def test_measure_embedding_report_matches_oracle():
@@ -1077,6 +1181,30 @@ def test_measure_embedding_report_matches_oracle():
             assert report == embedding_report_oracle(small, big)
             outcomes.add(report.reason)
     assert outcomes == {None, "trace-mismatch", "measure-mismatch"}
+
+
+def test_measure_embedding_report_in_another_label_order_and_with_a_heavy_null_atom():
+    # small lists X the other way round from big, so each cut moves onto
+    # small's bits by label, not by position; an atom that misses X must
+    # be null, and one of value inf makes X thin
+    small = space(G("b", "a"), (["b"], ["a"]), (1, 2))
+    cases = [
+        (space(G("a", "b", "p"), (["a", "p"], ["b"]), (2, 1)), None),
+        (space(G("a", "b", "p"), (["a"], ["b"], ["p"]), (2, 1, 0)), None),
+        (space(G("p", "a", "b"), (["p", "b"], ["a"]), (1, 2)), None),
+        (space(G("a", "b", "p"), (["a", "p"], ["b"]), (1, 2)), "measure-mismatch"),
+        (space(G("a", "b", "p"), (["a"], ["b"], ["p"]), (2, 1, "inf")), "measure-mismatch"),
+        (space(G("a", "b", "p"), (["a"], ["b"], ["p"]), (2, 1, 1)), "measure-mismatch"),
+        (space(G("a", "b", "p"), (["a", "b"], ["p"]), (3, 0)), "trace-mismatch"),
+        (space(G("a", "b"), (["a"], ["b"]), (1, 2)), "measure-mismatch"),
+    ]
+    for big, reason in cases:
+        report = measure_embedding_report(small, big)
+        assert report == embedding_report_oracle(small, big)
+        assert report.reason == reason
+    # the first big set in canonical order whose measure moves is {a,b,p}
+    thin = measure_embedding_report(small, cases[4][0])
+    assert thin.witness.labels() == ("a", "b", "p")
 
 
 def test_measure_mismatch_sorts_the_big_sets_once(monkeypatch):
