@@ -570,11 +570,6 @@ def generated_atom_bits(
     return blocks
 
 
-def _relabel(bits: int, source: GroundSet, target: GroundSet) -> int:
-    """Raw ``bits`` over ``source`` moved point by point, by label, onto ``target``."""
-    return sum(1 << target.index(source.labels[i]) for i in bits_key(bits))
-
-
 def _bit_table(source: GroundSet, target: GroundSet) -> tuple[int, list[int]]:
     """The points of ``source`` whose labels ``target`` has, as raw bits,
     and the table whose entry i is the bit point i takes in ``target`` (0
@@ -591,11 +586,20 @@ def _bit_table(source: GroundSet, target: GroundSet) -> tuple[int, list[int]]:
     return inside, table
 
 
+def _move(bits: int, table: list[int]) -> int:
+    """Raw ``bits`` moved point by point through a ``_bit_table``."""
+    return sum(map(table.__getitem__, bits_key(bits)))
+
+
 def transfer_mask(mask: SubsetMask, target: GroundSet) -> SubsetMask:
     """Re-express a mask over another ground set containing its labels."""
     if not isinstance(mask, SubsetMask):
         raise _not_a_set(mask)
-    return SubsetMask(target, _relabel(mask.bits, mask.ground, target))
+    inside, move = _bit_table(mask.ground, target)
+    missing = mask.bits & ~inside
+    if missing:  # name the least point that ``target`` lacks
+        target.index(mask.ground.labels[bits_key(missing)[0]])
+    return SubsetMask(target, _move(mask.bits, move))
 
 
 def _trace(
@@ -619,7 +623,7 @@ def _trace(
     if missing:
         first = next(atom.bits & missing for atom in algebra.atoms if atom.bits & missing)
         target.index(algebra.ground.labels[bits_key(first)[0]])
-    cut = [sum(map(move.__getitem__, bits_key(atom.bits & x.bits))) for atom in algebra.atoms]
+    cut = [_move(atom.bits & x.bits, move) for atom in algebra.atoms]
     sources = sorted((i for i, b in enumerate(cut) if b), key=lambda i: cut[i] & -cut[i])
     return SigmaAlgebra(target, tuple(SubsetMask(target, cut[i]) for i in sources)), sources
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
 from functools import cache, reduce
-from itertools import chain, repeat
-from operator import attrgetter, is_, or_
+from itertools import chain
+from operator import or_
 
 from .core import (
     MAX_POINTS,
@@ -29,9 +29,9 @@ from .core import (
     SubsetMask,
     _bit_table,
     _check_label,
+    _move,
     _not_a_set,
     _ordered,
-    _relabel,
     _setattr,
     _trace,
     _unions,
@@ -97,14 +97,14 @@ def _embeds(small: MeasureSpace, big: MeasureSpace, x: int, move: list[int]) -> 
     atom that misses X is null, and the cuts A & X of the others, moved
     through ``move``, are exactly the atoms of ``small``, each with A's value.
     """
-    value_of = dict(zip(map(attrgetter("bits"), small.algebra.atoms), small.atom_values))
+    value_of = {atom.bits: value for atom, value in zip(small.algebra.atoms, small.atom_values)}
     for atom, value in zip(big.algebra.atoms, big.atom_values):
         cut = atom.bits & x
         if not cut:
             if value != ZERO:
                 return False
         # a cut that is no atom of small, or one met twice, gets None
-        elif value_of.pop(sum(map(move.__getitem__, bits_key(cut))), None) != value:
+        elif value_of.pop(_move(cut, move), None) != value:
             return False
     return not value_of
 
@@ -189,39 +189,24 @@ class ExtensionKit(_Value):
             raise InputFormatError(
                 f"a kit's dfamily and fibers must be mappings, got {dfamily!r} and {fibers!r}"
             )
-        # ``values`` holds every family object, so no two share an id; a
-        # family shared by many keys is read and checked once, and each
-        # member is type-checked before it is hashed
-        keys, values = list(dfamily), list(dfamily.values())
-        typed = all(map(isinstance, keys, repeat(SubsetMask)))
-        reads: dict[int, Iterable] = {}
-        for i, members in dict(zip(map(id, values), values)).items() if typed else ():
-            if not isinstance(members, Iterable):
-                typed = False
-                break
-            reads[i] = read = members if isinstance(members, frozenset) else tuple(members)
-            if not all(map(isinstance, read, repeat(SubsetMask))):
-                typed = False
-                break
-        if not typed:  # name the first refused entry in dict order, key before members
-            seen = set()
-            for key, members in zip(keys, values):
-                if id(members) not in reads:
-                    if not isinstance(members, Iterable):
-                        raise InputFormatError(f"the pasted family of {key!r} is not a collection")
-                    read = members if isinstance(members, frozenset) else tuple(members)
-                    reads[id(members)] = read
-                for mask in (key, *(() if id(members) in seen else reads[id(members)])):
-                    if not isinstance(mask, SubsetMask):
-                        raise InputFormatError(
-                            f"a kit's dfamily must hold SubsetMasks, got {mask!r}"
-                        )
-                seen.add(id(members))
-        frozen = {i: frozenset(read) for i, read in reads.items()}
-        if type(dfamily) is dict and all(map(is_, frozen.values(), reads.values())):
+        # a family object shared by many keys is checked once; ``held`` keeps
+        # each object alive, so no later family can take over its id
+        held: dict[int, tuple] = {}
+        for key, members in dfamily.items():
+            first = id(members) not in held
+            if first and not isinstance(members, Iterable):
+                raise InputFormatError(f"the pasted family of {key!r} is not a collection")
+            # read once; each member is type-checked before it is hashed
+            read = (members if isinstance(members, frozenset) else tuple(members)) if first else ()
+            for mask in (key, *read):
+                if not isinstance(mask, SubsetMask):
+                    raise InputFormatError(f"a kit's dfamily must hold SubsetMasks, got {mask!r}")
+            if first:
+                held[id(members)] = members, frozenset(read)
+        if type(dfamily) is dict and all(m is f for m, f in held.values()):
             families = dfamily.copy()  # every family is a frozenset: the copy keeps key hashes
         else:
-            families = dict(zip(keys, map(frozen.__getitem__, map(id, values))))
+            families = {key: held[id(members)][1] for key, members in dfamily.items()}
         fiber_labels = {}
         for kernel, labels in fibers.items():
             fiber_labels[kernel] = labels = _ordered(labels, "fiber labels")
@@ -338,10 +323,7 @@ def _shape_problems(kit: ExtensionKit) -> tuple[list[str], bool]:
     ]
 
     measurable = set(_unions(atom.bits for atom in base_alg.atoms))
-    if all(map(is_, map(attrgetter("ground"), kit.dfamily), repeat(x))):
-        keyed = dict(zip(map(attrgetter("bits"), kit.dfamily), kit.dfamily.values()))
-    else:
-        keyed = {b.bits: ds for b, ds in kit.dfamily.items() if b.ground is x or b.ground == x}
+    keyed = {b.bits: ds for b, ds in kit.dfamily.items() if b.ground is x or b.ground == x}
     missing = measurable.difference(keyed)
     # with no key missing, as many keys as measurable sets leave none extra
     scan = kit.dfamily if missing or len(kit.dfamily) != len(measurable) else ()
@@ -532,11 +514,12 @@ def construct_extension(kit: ExtensionKit) -> MeasureSpace:
 
     # the base points come first in the ground, so base bits carry over
     x_bits = (1 << base.ground.size) - 1
+    move = _bit_table(kit.pasted.ground, ground)[1]
     fiber_of = {kernel.bits: ground.mask(labels).bits for kernel, labels in kit.fibers.items()}
     atoms = []
     for block in blocks:
         trace = block & x_bits
-        moved = _relabel(block >> base.ground.size, kit.pasted.ground, ground)
+        moved = _move(block >> base.ground.size, move)
         atoms.append(SubsetMask(ground, trace | fiber_of.get(trace, 0) | moved))
     algebra = SigmaAlgebra(ground, tuple(atoms))
 

@@ -42,7 +42,7 @@ from measpace import (
     validate_kit,
 )
 from measpace import core, embeddings, jsonio
-from measpace.core import _relabel as relabel, _trace as trace_pass
+from measpace.core import _move as move_bits, _trace as trace_pass
 
 from support import (
     G,
@@ -1109,7 +1109,7 @@ def test_construct_extension_refines_the_closure_once(monkeypatch):
 def test_construct_extension_measures_no_set_and_moves_no_pair(monkeypatch):
     kit = _six_atom_kit()
     expected = construct_extension_oracle(kit)
-    passes, moves = [], []
+    passes, moves, tables = [], [], []
 
     def refuse(*args, **kwargs):
         raise AssertionError("called by construct_extension")
@@ -1118,30 +1118,34 @@ def test_construct_extension_measures_no_set_and_moves_no_pair(monkeypatch):
         passes.append(args)
         return trace_pass(*args)
 
-    def counted_move(bits, source, target):
+    def counted_move(bits, table):
         moves.append(bits)
-        return relabel(bits, source, target)
+        return move_bits(bits, table)
 
     def counted_table(source, target):
-        tables.append(target)
+        tables.append((source, target))
         return bit_table(source, target)
 
-    tables, bit_table = [], embeddings._bit_table
+    bit_table = embeddings._bit_table
     monkeypatch.setattr(MeasureSpace, "measure_of", refuse)
     monkeypatch.setattr(embeddings, "transfer_mask", refuse)
     monkeypatch.setattr(embeddings, "_trace", counted_pass)
-    monkeypatch.setattr(core, "_relabel", counted_move)
+    monkeypatch.setattr(embeddings, "_move", counted_move)
     monkeypatch.setattr(embeddings, "_bit_table", counted_table)
     built = []
     for cls in (GroundSet, SigmaAlgebra, MeasureSpace):
         monkeypatch.setattr(cls, "__init__", _counted_init(cls.__init__, built))
     assert construct_extension(kit) == expected
-    # the closing embedding check makes no trace pass, builds no ground,
-    # algebra or space besides the result's, and moves its cuts through
-    # one label-to-bit table onto the base ground
-    assert passes == moves == []
+    # one label-to-bit table moves each block's pasted part onto the new
+    # ground, and one moves the closing check's cuts onto the base ground;
+    # the check makes no trace pass and builds no ground, algebra or space
+    # besides the result's
+    x = expected.ground.mask(kit.base.ground.labels)
+    meeting = sum(not atom.isdisjoint(x) for atom in expected.algebra.atoms)
+    assert passes == []
+    assert len(moves) == len(expected.algebra.atoms) + meeting
     assert built == [GroundSet, SigmaAlgebra, MeasureSpace]
-    assert tables == [kit.base.ground]
+    assert tables == [(kit.pasted.ground, expected.ground), (expected.ground, kit.base.ground)]
 
 
 def _counted_init(init, built):
