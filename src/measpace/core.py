@@ -47,9 +47,23 @@ def _ordered(items, what: str) -> tuple:
     return tuple(items)
 
 
-def _not_a_set(s) -> InputFormatError:
-    """The refusal of a set argument that is not a ``SubsetMask``."""
-    return InputFormatError(f"a set must be a SubsetMask, got {s!r}")
+def _require(value, cls: type, what: str):
+    """``value`` if it is a ``cls``; the one refusal of an argument of the
+    wrong type.  ``what`` names the argument with its article."""
+    if isinstance(value, cls):
+        return value
+    article = "an" if cls.__name__[0] in "AEIOU" else "a"
+    raise InputFormatError(f"{what} must be {article} {cls.__name__}, got {value!r}")
+
+
+def _set_bits(s, ground: "GroundSet", what: str = "a set") -> int:
+    """The bits of ``s``, a ``SubsetMask`` over ``ground``; the one refusal
+    of a set argument of the wrong type or over another ground."""
+    if not isinstance(s, SubsetMask):
+        _require(s, SubsetMask, what)
+    if s.ground is not ground and s.ground != ground:
+        raise GroundMismatchError(f"{what} is over a different ground set")
+    return s.bits
 
 
 def _check_label(label) -> None:
@@ -275,9 +289,11 @@ class GroundSet(_Value):
     def mask(self, labels: Iterable[str]) -> "SubsetMask":
         bits = 0
         try:
+            if isinstance(labels, str):  # it would split into one-letter labels
+                raise TypeError
             for label in labels:
                 bits |= 1 << self.index(label)
-        except TypeError:  # not iterable
+        except TypeError:  # a string, or not iterable
             raise InputFormatError(
                 f"a set must be a collection of point labels, got {labels!r}"
             ) from None
@@ -308,8 +324,7 @@ class SubsetMask(_Value):
     __slots__ = __match_args__ = ("ground", "bits")
 
     def __init__(self, ground: GroundSet, bits: int):
-        if not isinstance(ground, GroundSet):
-            raise InputFormatError(f"a mask needs a GroundSet, got {ground!r}")
+        _require(ground, GroundSet, "a mask's ground")
         if type(bits) is not int:
             raise InputFormatError(f"mask bits must be an int, got {bits!r}")
         if not 0 <= bits < 1 << len(ground.labels):
@@ -329,34 +344,25 @@ class SubsetMask(_Value):
         same bits over different grounds share a hash but stay unequal."""
         return self.bits
 
-    def _same_ground(self, other: "SubsetMask") -> None:
-        if self.ground is not other.ground and self.ground != other.ground:
-            raise GroundMismatchError("masks are over different ground sets")
-
     def __or__(self, other: "SubsetMask") -> "SubsetMask":
-        self._same_ground(other)
-        return SubsetMask(self.ground, self.bits | other.bits)
+        return SubsetMask(self.ground, self.bits | _set_bits(other, self.ground))
 
     def __and__(self, other: "SubsetMask") -> "SubsetMask":
-        self._same_ground(other)
-        return SubsetMask(self.ground, self.bits & other.bits)
+        return SubsetMask(self.ground, self.bits & _set_bits(other, self.ground))
 
     def __sub__(self, other: "SubsetMask") -> "SubsetMask":
-        self._same_ground(other)
-        return SubsetMask(self.ground, self.bits & ~other.bits)
+        return SubsetMask(self.ground, self.bits & ~_set_bits(other, self.ground))
 
     def complement(self) -> "SubsetMask":
         return SubsetMask(self.ground, self.bits ^ (1 << self.ground.size) - 1)
 
     def issubset(self, other: "SubsetMask") -> bool:
-        self._same_ground(other)
-        return self.bits & ~other.bits == 0
+        return self.bits & ~_set_bits(other, self.ground) == 0
 
     __le__ = issubset
 
     def isdisjoint(self, other: "SubsetMask") -> bool:
-        self._same_ground(other)
-        return self.bits & other.bits == 0
+        return self.bits & _set_bits(other, self.ground) == 0
 
     def __bool__(self) -> bool:
         return self.bits != 0
@@ -426,6 +432,8 @@ def bits_key(bits: int) -> tuple[int, ...]:
 
 def mask_key(mask: SubsetMask) -> tuple[int, ...]:
     """Canonical sort key for listing sets: the tuple of point indices."""
+    if not isinstance(mask, SubsetMask):  # inline: sorts call this once per set
+        _require(mask, SubsetMask, "a set")
     return bits_key(mask.bits)
 
 
@@ -440,8 +448,7 @@ class SigmaAlgebra(_Value):
     __slots__ = __match_args__ = ("ground", "atoms")
 
     def __init__(self, ground: GroundSet, atoms: tuple[SubsetMask, ...]):
-        if not isinstance(ground, GroundSet):
-            raise InputFormatError(f"an algebra needs a GroundSet, got {ground!r}")
+        _require(ground, GroundSet, "an algebra's ground")
         try:
             atoms = tuple(atoms)
         except TypeError:
@@ -452,11 +459,7 @@ class SigmaAlgebra(_Value):
         least = 0
         in_order = True
         for atom in atoms:
-            if not isinstance(atom, SubsetMask):
-                raise InputFormatError(f"atoms must be SubsetMasks, got {atom!r}")
-            if atom.ground is not ground and atom.ground != ground:
-                raise GroundMismatchError("atom over a different ground set")
-            bits = atom.bits
+            bits = _set_bits(atom, ground, "an atom")
             if not bits:
                 raise InputFormatError("atoms must be nonempty")
             if union & bits:
@@ -489,12 +492,9 @@ class SigmaAlgebra(_Value):
 
     def member(self, s: SubsetMask) -> bool:
         """True iff ``s`` is a union of atoms."""
-        if not isinstance(s, SubsetMask):
-            raise _not_a_set(s)
-        if s.ground is not self.ground and s.ground != self.ground:
-            raise GroundMismatchError("set over a different ground set")
+        bits = _set_bits(s, self.ground)
         for atom in self.atoms:
-            inter = atom.bits & s.bits
+            inter = atom.bits & bits
             if inter and inter != atom.bits:
                 return False
         return True
@@ -528,20 +528,15 @@ def generate_sigma_algebra(
     them, so the atoms are the blocks of the common refinement of the
     generators and their complements.
     """
-    if not isinstance(ground, GroundSet):
-        raise InputFormatError(f"an algebra needs a GroundSet, got {ground!r}")
+    _require(ground, GroundSet, "an algebra's ground")
     try:
         gens = list(generators)
     except TypeError:
         raise InputFormatError(
             f"generators must be a collection of SubsetMasks, got {generators!r}"
         ) from None
-    for g in gens:
-        if not isinstance(g, SubsetMask):
-            raise InputFormatError(f"generators must be SubsetMasks, got {g!r}")
-        if g.ground != ground:
-            raise GroundMismatchError("generator over a different ground set")
-    atoms = generated_atom_bits(ground.size, (g.bits for g in gens))
+    gen_bits = [_set_bits(g, ground, "a generator") for g in gens]
+    atoms = generated_atom_bits(ground.size, gen_bits)
     return SigmaAlgebra(ground, tuple(SubsetMask(ground, bits) for bits in atoms))
 
 
@@ -593,9 +588,8 @@ def _move(bits: int, table: list[int]) -> int:
 
 def transfer_mask(mask: SubsetMask, target: GroundSet) -> SubsetMask:
     """Re-express a mask over another ground set containing its labels."""
-    if not isinstance(mask, SubsetMask):
-        raise _not_a_set(mask)
-    inside, move = _bit_table(mask.ground, target)
+    _require(mask, SubsetMask, "a set")
+    inside, move = _bit_table(mask.ground, _require(target, GroundSet, "the target"))
     missing = mask.bits & ~inside
     if missing:  # name the least point that ``target`` lacks
         target.index(mask.ground.labels[bits_key(missing)[0]])
@@ -612,18 +606,15 @@ def _trace(
     least points put them in order.  A point of X that ``target`` lacks
     is named as a lookup atom by atom would meet it first.
     """
-    if not isinstance(x, SubsetMask):
-        raise _not_a_set(x)
-    if x.ground != algebra.ground:
-        raise GroundMismatchError("trace set over a different ground set")
+    x_bits = _set_bits(x, _require(algebra, SigmaAlgebra, "an algebra").ground)
     if target is None:
         target = GroundSet(x.labels())
-    inside, move = _bit_table(algebra.ground, target)
-    missing = x.bits & ~inside
+    inside, move = _bit_table(algebra.ground, _require(target, GroundSet, "the target"))
+    missing = x_bits & ~inside
     if missing:
         first = next(atom.bits & missing for atom in algebra.atoms if atom.bits & missing)
         target.index(algebra.ground.labels[bits_key(first)[0]])
-    cut = [_move(atom.bits & x.bits, move) for atom in algebra.atoms]
+    cut = [_move(atom.bits & x_bits, move) for atom in algebra.atoms]
     sources = sorted((i for i, b in enumerate(cut) if b), key=lambda i: cut[i] & -cut[i])
     return SigmaAlgebra(target, tuple(SubsetMask(target, cut[i]) for i in sources)), sources
 
@@ -651,8 +642,7 @@ class MeasureSpace(_Value):
     __slots__ = __match_args__ = ("algebra", "atom_values")
 
     def __init__(self, algebra: SigmaAlgebra, atom_values: tuple[ExtReal, ...]):
-        if not isinstance(algebra, SigmaAlgebra):
-            raise InputFormatError(f"a measure space needs a SigmaAlgebra, got {algebra!r}")
+        _require(algebra, SigmaAlgebra, "a measure space's algebra")
         values = atom_values
         if type(values) is not tuple or not all(type(v) is ExtReal for v in values):
             if not isinstance(values, Iterable):
@@ -683,21 +673,15 @@ class MeasureSpace(_Value):
         ``s`` need not be measurable.  The least such C is the union of the
         atoms that meet ``s``.
         """
-        if not isinstance(s, SubsetMask):
-            raise _not_a_set(s)
-        if s.ground is not self.algebra.ground and s.ground != self.algebra.ground:
-            raise GroundMismatchError("set over a different ground set")
+        bits = _set_bits(s, self.algebra.ground)
         pairs = zip(self.algebra.atoms, self.atom_values)
-        return sum((v for a, v in pairs if a.bits & s.bits), ZERO)
+        return sum((v for a, v in pairs if a.bits & bits), ZERO)
 
     def inner_measure(self, s: SubsetMask) -> ExtReal:
         """max over measurable C <= s of the measure of C: the atoms inside ``s``."""
-        if not isinstance(s, SubsetMask):
-            raise _not_a_set(s)
-        if s.ground is not self.algebra.ground and s.ground != self.algebra.ground:
-            raise GroundMismatchError("set over a different ground set")
+        outside = ~_set_bits(s, self.algebra.ground)
         pairs = zip(self.algebra.atoms, self.atom_values)
-        return sum((v for a, v in pairs if a.bits & ~s.bits == 0), ZERO)
+        return sum((v for a, v in pairs if a.bits & outside == 0), ZERO)
 
     def is_thick(self, x: SubsetMask) -> bool:
         """True iff the complement of ``x`` has inner measure zero.
@@ -705,9 +689,7 @@ class MeasureSpace(_Value):
         Equivalently: every measurable set disjoint from ``x`` is null,
         i.e. ``x`` has full outer measure.
         """
-        if not isinstance(x, SubsetMask):
-            raise _not_a_set(x)
-        return self.inner_measure(x.complement()) == ZERO
+        return self.inner_measure(_require(x, SubsetMask, "a set").complement()) == ZERO
 
     @property
     def total(self) -> ExtReal:
@@ -722,6 +704,10 @@ class MeasureSpace(_Value):
 
 def all_sigma_algebras(ground: GroundSet) -> Iterator[SigmaAlgebra]:
     """Every sigma-algebra on the ground set, one per set partition, in
-    ``_partitions`` order: trivial first, discrete last."""
-    for blocks in _partitions((), 0, ground.size):
-        yield SigmaAlgebra(ground, tuple(SubsetMask(ground, bits) for bits in blocks))
+    ``_partitions`` order: trivial first, discrete last.  The ground is
+    checked at the call, before the first algebra is asked for."""
+    _require(ground, GroundSet, "the ground")
+    return (
+        SigmaAlgebra(ground, tuple(SubsetMask(ground, bits) for bits in blocks))
+        for blocks in _partitions((), 0, ground.size)
+    )

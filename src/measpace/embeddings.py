@@ -30,8 +30,9 @@ from .core import (
     _bit_table,
     _check_label,
     _move,
-    _not_a_set,
     _ordered,
+    _require,
+    _set_bits,
     _setattr,
     _trace,
     _unions,
@@ -65,6 +66,8 @@ def _embedded(small: GroundSet, big: GroundSet) -> tuple[int, list[int]]:
 
 def check_measurable_embedding(small: SigmaAlgebra, big: SigmaAlgebra) -> bool:
     """True iff the trace of ``big`` on the small ground set equals ``small``."""
+    _require(small, SigmaAlgebra, "the small algebra")
+    _require(big, SigmaAlgebra, "the big algebra")
     x = SubsetMask(big.ground, _embedded(small.ground, big.ground)[0])
     return trace_algebra(big, x, small.ground) == small
 
@@ -127,10 +130,8 @@ def measure_embedding_report(small: MeasureSpace, big: MeasureSpace) -> Embeddin
     first pass keeps each (set, trace) pair, and the measure pass reads
     them back.  A refusal that no set backs raises :class:`InvariantError`.
     """
-    if not isinstance(small, MeasureSpace) or not isinstance(big, MeasureSpace):
-        raise InputFormatError(
-            f"an embedding check needs two MeasureSpaces, got {small!r} and {big!r}"
-        )
+    _require(small, MeasureSpace, "the small space")
+    _require(big, MeasureSpace, "the big space")
     x, move = _embedded(small.ground, big.ground)
     if _embeds(small, big, x, move):
         return EmbeddingReport(True)
@@ -181,10 +182,8 @@ class ExtensionKit(_Value):
         dfamily: Mapping[SubsetMask, frozenset[SubsetMask]],
         fibers: Mapping[SubsetMask, tuple[str, ...]],
     ):
-        if not isinstance(base, MeasureSpace):
-            raise InputFormatError(f"a kit's base must be a MeasureSpace, got {base!r}")
-        if not isinstance(pasted, SigmaAlgebra):
-            raise InputFormatError(f"a kit's pasted part must be a SigmaAlgebra, got {pasted!r}")
+        _require(base, MeasureSpace, "a kit's base")
+        _require(pasted, SigmaAlgebra, "a kit's pasted part")
         if not isinstance(dfamily, Mapping) or not isinstance(fibers, Mapping):
             raise InputFormatError(
                 f"a kit's dfamily and fibers must be mappings, got {dfamily!r} and {fibers!r}"
@@ -199,8 +198,7 @@ class ExtensionKit(_Value):
             # read once; each member is type-checked before it is hashed
             read = (members if isinstance(members, frozenset) else tuple(members)) if first else ()
             for mask in (key, *read):
-                if not isinstance(mask, SubsetMask):
-                    raise InputFormatError(f"a kit's dfamily must hold SubsetMasks, got {mask!r}")
+                _require(mask, SubsetMask, "a set in a kit's dfamily")
             if first:
                 held[id(members)] = members, frozenset(read)
         if type(dfamily) is dict and all(m is f for m, f in held.values()):
@@ -210,10 +208,7 @@ class ExtensionKit(_Value):
         fiber_labels = {}
         for kernel, labels in fibers.items():
             fiber_labels[kernel] = labels = _ordered(labels, "fiber labels")
-            if not isinstance(kernel, SubsetMask) or not all(isinstance(s, str) for s in labels):
-                raise InputFormatError(
-                    f"fibers must map SubsetMasks to label strings, got {kernel!r}: {labels!r}"
-                )
+            _require(kernel, SubsetMask, "a fiber kernel")
             for label in labels:
                 _check_label(label)
         _setattr(self, "base", base)
@@ -224,6 +219,7 @@ class ExtensionKit(_Value):
 
 def identity_kit(base: MeasureSpace) -> ExtensionKit:
     """The kit whose extension is the base space itself."""
+    _require(base, MeasureSpace, "the base")
     pasted = SigmaAlgebra(GroundSet(()), ())
     return ExtensionKit(base, pasted, full_dfamily(base.algebra, pasted), {})
 
@@ -232,6 +228,8 @@ def full_dfamily(
     base_algebra: SigmaAlgebra, pasted: SigmaAlgebra
 ) -> dict[SubsetMask, frozenset[SubsetMask]]:
     """The constant-full family D_B = D, valid for any pasted space."""
+    _require(base_algebra, SigmaAlgebra, "the base algebra")
+    _require(pasted, SigmaAlgebra, "the pasted algebra")
     return dict.fromkeys(base_algebra.sets(), frozenset(pasted.sets()))
 
 
@@ -251,8 +249,8 @@ def auto_fibers(sizes: Mapping[SubsetMask, int]) -> dict[SubsetMask, tuple[str, 
             raise InputFormatError("fiber sizes must be at least 1")
         if size > MAX_POINTS:
             raise SizeCapError(f"fiber sizes must be at most {MAX_POINTS}, the point cap")
-        if not isinstance(kernel, SubsetMask) or not kernel:
-            raise InputFormatError(f"a fiber kernel must be a nonempty SubsetMask, got {kernel!r}")
+        if not _require(kernel, SubsetMask, "a fiber kernel"):
+            raise InputFormatError("a fiber kernel must be nonempty")
         u = kernel.labels()[0]
         out[kernel] = tuple(f"{u}#{k}" for k in range(1, size + 1))
     return out
@@ -290,9 +288,7 @@ def validate_kit(kit: ExtensionKit) -> list[str]:
 
 def _checked(kit: ExtensionKit) -> tuple[list[str], list[int] | None]:
     """validate_kit's problems and G's blocks (None unless the count holds)."""
-    if not isinstance(kit, ExtensionKit):
-        raise InputFormatError(f"a kit must be an ExtensionKit, got {kit!r}")
-    problems, typed = _shape_problems(kit)
+    problems, typed = _shape_problems(_require(kit, ExtensionKit, "a kit"))
     blocks = _closed_blocks(kit) if typed else None
     if typed and blocks is None:
         closure = _closure_problems(kit)
@@ -574,12 +570,7 @@ def _induced_base(big: MeasureSpace, x: SubsetMask) -> tuple:
     embeds exactly when X is thick (see ``measure_embedding_report``).
     Only a refusal runs the embedding report, for its reason and witness.
     """
-    if not isinstance(big, MeasureSpace):
-        raise InputFormatError(f"an extension must be a MeasureSpace, got {big!r}")
-    if not isinstance(x, SubsetMask):
-        raise _not_a_set(x)
-    if x.ground != big.ground:
-        raise GroundMismatchError("x is over a different ground set")
+    _set_bits(x, _require(big, MeasureSpace, "an extension").ground, "x")
     small, sources = _trace_space(big, x)
     inside_of = dict(zip(sources, small.algebra.atoms))
     z_bits = 0
@@ -661,8 +652,7 @@ def enumerate_extensions(
     and every space is built unchecked from those masks and the base
     values followed by one ``ZERO`` per pasted block.
     """
-    if not isinstance(base, MeasureSpace):
-        raise InputFormatError(f"the base must be a MeasureSpace, got {base!r}")
+    _require(base, MeasureSpace, "the base")
     if isinstance(extra_labels, str) or not isinstance(extra_labels, Iterable):
         raise InputFormatError(f"extra labels must be a collection, got {extra_labels!r}")
     extras = list(extra_labels)

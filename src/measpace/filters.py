@@ -27,6 +27,8 @@ from .core import (
     SigmaAlgebra,
     SubsetMask,
     ZERO,
+    _require,
+    _set_bits,
     _setattr,
     _Value,
     mask_key,
@@ -42,21 +44,15 @@ class SetFamily(_Value):
     __slots__ = __match_args__ = ("algebra", "members")
 
     def __init__(self, algebra: SigmaAlgebra, members: frozenset[SubsetMask]):
-        if not isinstance(algebra, SigmaAlgebra):
-            raise InputFormatError(f"a family needs a SigmaAlgebra, got {algebra!r}")
+        _require(algebra, SigmaAlgebra, "a family's algebra")
         if not isinstance(members, Iterable):
             raise InputFormatError(f"family members must be a collection, got {members!r}")
         # read once; each member is type-checked before it is hashed
         members = members if isinstance(members, frozenset) else tuple(members)
         for m in members:
-            if not isinstance(m, SubsetMask):
-                raise InputFormatError(f"family members must be SubsetMasks, got {m!r}")
             algebra.require_member(m)
         _setattr(self, "algebra", algebra)
         _setattr(self, "members", frozenset(members))
-
-    def sorted_members(self) -> list[SubsetMask]:
-        return sorted(self.members, key=mask_key)
 
 
 class UltrafilterRecord(_Value):
@@ -123,7 +119,7 @@ def classify_family(family: SetFamily) -> UltrafilterRecord:
       nonempty;
     - free: K is empty.
     """
-    algebra = family.algebra
+    algebra = _require(family, SetFamily, "a family").algebra
     kernel_bits = (1 << algebra.ground.size) - 1
     for m in family.members:
         kernel_bits &= m.bits
@@ -147,6 +143,7 @@ def principal_ultrafilter(algebra: SigmaAlgebra, atom: SubsetMask) -> Ultrafilte
 
     A measurable set meeting every member meets the atom, hence contains it.
     """
+    _set_bits(atom, _require(algebra, SigmaAlgebra, "an algebra").ground, "an atom")
     if atom not in algebra.atoms:
         raise PreconditionError(f"{atom!r} is not an atom of the algebra")
     members = frozenset(s for s in algebra.sets() if atom.bits & ~s.bits == 0)
@@ -160,7 +157,10 @@ def enumerate_ultrafilters(algebra: SigmaAlgebra) -> list[UltrafilterRecord]:
     This is the finite shadow of the fact that a countable ground set
     admits no free ultrafilter with the countable intersection property.
     """
-    return [principal_ultrafilter(algebra, atom) for atom in algebra.atoms]
+    return [
+        principal_ultrafilter(algebra, atom)
+        for atom in _require(algebra, SigmaAlgebra, "an algebra").atoms
+    ]
 
 
 def extend_to_ultrafilter(base: SetFamily) -> UltrafilterRecord:
@@ -195,8 +195,7 @@ class ZeroOneMeasure(_Value):
     __slots__ = ("ms", "unit_atom")
 
     def __init__(self, ms: MeasureSpace):
-        if not isinstance(ms, MeasureSpace):
-            raise InputFormatError(f"a {{0,1}}-valued measure needs a MeasureSpace, got {ms!r}")
+        _require(ms, MeasureSpace, "a {0,1}-valued measure's space")
         ones = [a for a, v in zip(ms.algebra.atoms, ms.atom_values) if v == ONE]
         if any(v not in (ZERO, ONE) for v in ms.atom_values) or len(ones) > 1:
             raise InputFormatError(
@@ -212,7 +211,7 @@ class ZeroOneMeasure(_Value):
 
 def measure_from_ultrafilter(u: UltrafilterRecord) -> ZeroOneMeasure:
     """The {0,1}-valued measure with value 1 exactly on members of ``u``."""
-    if not u.is_ultrafilter:
+    if not _require(u, UltrafilterRecord, "an ultrafilter").is_ultrafilter:
         raise PreconditionError("needs an ultrafilter")
     values = tuple(ONE if atom == u.kernel else ZERO for atom in u.algebra.atoms)
     return ZeroOneMeasure(MeasureSpace(u.algebra, values))
@@ -224,7 +223,7 @@ def ultrafilter_from_01_measure(m: ZeroOneMeasure) -> UltrafilterRecord:
     Those are the sets containing the unit atom, so this is the principal
     ultrafilter of that atom; inverse to :func:`measure_from_ultrafilter`.
     """
-    if not m.is_nontrivial:
+    if not _require(m, ZeroOneMeasure, "a {0,1}-valued measure").is_nontrivial:
         raise PreconditionError("the measure is trivial (identically zero)")
     return principal_ultrafilter(m.ms.algebra, m.unit_atom)
 
@@ -240,6 +239,8 @@ def lift_to_superspace(
     kernel of ``f``, which is an atom of the superalgebra since X is
     measurable.  It has c.i.p. and is fixed, like ``f``.
     """
+    _require(f, UltrafilterRecord, "an ultrafilter")
+    _require(superalgebra, SigmaAlgebra, "a superalgebra")
     if not f.is_ultrafilter:
         raise PreconditionError("needs an ultrafilter")
     small_labels = f.algebra.ground.labels
@@ -265,12 +266,11 @@ def restrict_by_trace(h: UltrafilterRecord, x: SubsetMask) -> UltrafilterRecord:
     whose kernel, the trace of h's atom kernel, is an atom of the trace
     algebra, so they extend to that atom's principal ultrafilter.
     """
-    if x.ground != h.algebra.ground:
-        raise GroundMismatchError("x is over a different ground set")
+    _set_bits(x, _require(h, UltrafilterRecord, "an ultrafilter").algebra.ground, "x")
     if not (h.is_ultrafilter and h.has_cip):
         raise PreconditionError("needs an ultrafilter with c.i.p.")
     if h.kernel.isdisjoint(x):
-        member = next(m for m in h.family.sorted_members() if m.isdisjoint(x))
+        member = min((m for m in h.members if m.isdisjoint(x)), key=mask_key)
         raise PreconditionError(f"member {member!r} does not meet X")
     small = trace_algebra(h.algebra, x)
     return principal_ultrafilter(small, transfer_mask(h.kernel & x, small.ground))

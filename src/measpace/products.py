@@ -14,6 +14,8 @@ from .core import (
     MeasureSpace,
     SigmaAlgebra,
     SubsetMask,
+    _require,
+    _set_bits,
     _setattr,
     _Value,
 )
@@ -21,13 +23,13 @@ from .errors import GroundMismatchError, PreconditionError, SizeCapError
 from .filters import UltrafilterRecord, principal_ultrafilter
 
 
-def _escape(label: str) -> str:
-    return label.replace("\\", "\\\\").replace("|", "\\|")
+def _escape(label: str, what: str) -> str:
+    return _require(label, str, what).replace("\\", "\\\\").replace("|", "\\|")
 
 
 def pair_label(left: str, right: str) -> str:
     """Canonical composite label "(x|y)"; "|" in inputs is escaped."""
-    return f"({_escape(left)}|{_escape(right)})"
+    return f"({_escape(left, 'a left label')}|{_escape(right, 'a right label')})"
 
 
 def _rectangle_bits(b: SubsetMask, c: SubsetMask) -> int:
@@ -54,8 +56,8 @@ class ProductSpace(_Value):
 
     def rectangle(self, b: SubsetMask, c: SubsetMask) -> SubsetMask:
         """The product set B x C as a mask over the product ground."""
-        if b.ground != self.left.ground or c.ground != self.right.ground:
-            raise GroundMismatchError("rectangle sides must come from the factors")
+        _set_bits(b, self.left.ground, "a rectangle's left side")
+        _set_bits(c, self.right.ground, "a rectangle's right side")
         return SubsetMask(self.product.ground, _rectangle_bits(b, c))
 
 
@@ -64,6 +66,8 @@ def product_space(left: MeasureSpace, right: MeasureSpace) -> ProductSpace:
 
     Its atoms are the products of a left atom and a right atom.
     """
+    _require(left, MeasureSpace, "the left factor")
+    _require(right, MeasureSpace, "the right factor")
     n = left.ground.size * right.ground.size
     if n > MAX_POINTS:
         raise SizeCapError(f"product would have {n} points; the cap is {MAX_POINTS}")
@@ -84,8 +88,8 @@ def product_space(left: MeasureSpace, right: MeasureSpace) -> ProductSpace:
 
 def y_section(ps: ProductSpace, product_set: SubsetMask, y: str) -> SubsetMask:
     """The section {x : (x, y) in the set}, measurable on the left factor."""
-    ps.product.algebra.require_member(product_set)
-    if y not in ps.right.ground.labels:
+    _require(ps, ProductSpace, "a product").product.algebra.require_member(product_set)
+    if _require(y, str, "y") not in ps.right.ground.labels:
         raise PreconditionError(f"{y!r} is not a point of the right factor")
     j = ps.right.ground.index(y)
     bits = 0
@@ -104,11 +108,12 @@ def lift_ultrafilter(ps: ProductSpace, f: UltrafilterRecord, y: str) -> Ultrafil
     ultrafilter, which has c.i.p., and the y-section of each member stays
     in f.
     """
-    if f.algebra != ps.left.algebra:
+    _require(ps, ProductSpace, "a product")
+    if _require(f, UltrafilterRecord, "an ultrafilter").algebra != ps.left.algebra:
         raise GroundMismatchError("the ultrafilter is not over the left factor")
     if not f.is_ultrafilter:
         raise PreconditionError("needs an ultrafilter")
-    if y not in ps.right.ground.labels:
+    if _require(y, str, "y") not in ps.right.ground.labels:
         raise PreconditionError(f"{y!r} is not a point of the right factor")
     y_mask = ps.right.ground.singleton(y)
     if not ps.right.algebra.member(y_mask):
@@ -128,7 +133,8 @@ def project_ultrafilter(
     ultrafilters of {i} and {j}, so the kernels reconstitute the kernel
     of h.
     """
-    if h.algebra != ps.product.algebra:
+    _require(ps, ProductSpace, "a product")
+    if _require(h, UltrafilterRecord, "an ultrafilter").algebra != ps.product.algebra:
         raise GroundMismatchError("the ultrafilter is not over the product")
     if not (h.is_ultrafilter and h.has_cip):
         raise PreconditionError("needs an ultrafilter with c.i.p.")

@@ -737,7 +737,7 @@ def restrict_by_trace_oracle(h, x):
         raise GroundMismatchError("x is over a different ground set")
     if not (h.is_ultrafilter and h.has_cip):
         raise PreconditionError("needs an ultrafilter with c.i.p.")
-    for member in h.family.sorted_members():
+    for member in sorted(h.members, key=mask_key):
         if member.isdisjoint(x):
             raise PreconditionError(f"member {member!r} does not meet X")
     small = trace_algebra_oracle(h.algebra, x)
