@@ -90,12 +90,12 @@ class _Value:
 
     ``_trusted(first, second)`` is the one construction path that skips
     ``__init__``, for values whose invariants the library has just checked
-    on raw bits itself: the masks of ``SigmaAlgebra.sets`` and the spaces
-    of ``enumerate_extensions``.  Only a class whose slots are exactly its
-    two fields has one: when the class is created, its two slot
-    descriptors' setters are looked up once, so a value costs one
-    ``object.__new__`` and two stores.  Any other class's ``_trusted`` is
-    None.
+    on raw bits itself: the masks of ``SigmaAlgebra.sets`` and
+    ``SigmaAlgebra._least_set`` and the spaces of ``enumerate_extensions``.
+    Only a class whose slots are exactly its two fields has one: when the
+    class is created, its two slot descriptors' setters are looked up
+    once, so a value costs one ``object.__new__`` and two stores.  Any
+    other class's ``_trusted`` is None.
     """
 
     __slots__ = ()
@@ -449,12 +449,7 @@ class SigmaAlgebra(_Value):
 
     def __init__(self, ground: GroundSet, atoms: tuple[SubsetMask, ...]):
         _require(ground, GroundSet, "an algebra's ground")
-        try:
-            atoms = tuple(atoms)
-        except TypeError:
-            raise InputFormatError(
-                f"an algebra needs a collection of atoms, got {atoms!r}"
-            ) from None
+        atoms = tuple(_require(atoms, Iterable, "an algebra's atoms"))
         union = 0
         least = 0
         in_order = True
@@ -512,8 +507,29 @@ class SigmaAlgebra(_Value):
         for bits in _unions(atom.bits for atom in self.atoms):
             yield SubsetMask._trusted(self.ground, bits)
 
-    def sorted_sets(self) -> list[SubsetMask]:
-        return sorted(self.sets(), key=mask_key)
+    def _least_set(self, passes) -> SubsetMask | None:
+        """The least measurable set in ``mask_key`` order for which
+        ``passes(mask)`` holds, or None, from O(k**2) calls on k atoms.
+
+        ``passes`` must be one-step: if C fails and C | R passes for a
+        union R of atoms, so does C plus one atom of R.  The atoms come by
+        least point q, so the points below q are decided: a chosen set
+        with nothing above q that passes is the least, and otherwise an
+        atom is taken whenever the chosen set plus it still passes, or
+        does with one more later atom.
+        """
+        ground, atoms = self.ground, [atom.bits for atom in self.atoms]
+
+        def ok(bits: int) -> bool:
+            return passes(SubsetMask._trusted(ground, bits))
+
+        chosen = 0
+        for i, atom in enumerate(atoms):
+            if chosen < atom & -atom and ok(chosen):
+                break
+            if ok(chosen | atom) or any(ok(chosen | atom | b) for b in atoms[i + 1 :]):
+                chosen |= atom
+        return SubsetMask._trusted(ground, chosen) if ok(chosen) else None
 
     def __repr__(self) -> str:
         return "SigmaAlgebra[%s]" % "|".join(repr(a) for a in self.atoms)
@@ -529,13 +545,8 @@ def generate_sigma_algebra(
     generators and their complements.
     """
     _require(ground, GroundSet, "an algebra's ground")
-    try:
-        gens = list(generators)
-    except TypeError:
-        raise InputFormatError(
-            f"generators must be a collection of SubsetMasks, got {generators!r}"
-        ) from None
-    gen_bits = [_set_bits(g, ground, "a generator") for g in gens]
+    generators = _require(generators, Iterable, "the generators")
+    gen_bits = [_set_bits(g, ground, "a generator") for g in generators]
     atoms = generated_atom_bits(ground.size, gen_bits)
     return SigmaAlgebra(ground, tuple(SubsetMask(ground, bits) for bits in atoms))
 
@@ -645,10 +656,7 @@ class MeasureSpace(_Value):
         _require(algebra, SigmaAlgebra, "a measure space's algebra")
         values = atom_values
         if type(values) is not tuple or not all(type(v) is ExtReal for v in values):
-            if not isinstance(values, Iterable):
-                raise InputFormatError(
-                    f"a measure space needs a collection of atom values, got {values!r}"
-                )
+            values = _require(values, Iterable, "a measure space's atom values")
             values = tuple(ExtReal.of(v) for v in values)
         if len(values) != len(algebra.atoms):
             raise InputFormatError(

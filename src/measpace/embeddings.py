@@ -83,17 +83,6 @@ class EmbeddingReport(_Value):
         _setattr(self, "witness", witness)
 
 
-def _trace_space(big: MeasureSpace, x: SubsetMask, target: GroundSet | None = None) -> tuple:
-    """The trace space of ``big`` on X in ``target`` label order (by default
-    the order X inherits from the big ground), and the index of each trace
-    atom's big atom, from one trace pass.  Each trace atom is A & X for
-    exactly one big atom A and carries A's value; it need not sort where A
-    does unless X comes first.
-    """
-    algebra, sources = _trace(big.algebra, x, target)
-    return MeasureSpace(algebra, tuple(big.atom_values[i] for i in sources)), sources
-
-
 def _embeds(small: MeasureSpace, big: MeasureSpace, x: int, move: list[int]) -> bool:
     """True iff X is thick and the trace space of ``big`` on X, in the small
     ground's label order, equals ``small``, decided on raw bits: every big
@@ -122,33 +111,38 @@ def measure_embedding_report(small: MeasureSpace, big: MeasureSpace) -> Embeddin
     traces agree.  Both measures are additive, so agreement on the atoms
     is agreement on every measurable set.  ``_embeds`` decides this on
     raw bits, moving each cut through one label-to-bit table, and builds
-    no ground set, mask, algebra or space.  Only a failing pair is scanned
-    set by set, in canonical order, for the witness: either a big-side
-    set whose trace is not measurable in the small algebra (or whose
-    measure disagrees with the trace measure), or a small-side set that
-    is not a trace at all.  The big sets are sorted and traced once: the
-    first pass keeps each (set, trace) pair, and the measure pass reads
-    them back.  A refusal that no set backs raises :class:`InvariantError`.
+    no ground set, mask, algebra or space.  A failing pair's witness is
+    the least set, in canonical order, that is a big set whose trace is
+    not measurable in ``small``, else a small set that is no union of cuts
+    A & X, else a big set whose measure is not its trace's: one
+    ``_least_set`` walk each.  Each property is one-step.  Cuts are
+    disjoint, so a measurable trace turns unmeasurable only by adding an
+    atom whose cut is.  If s is a union of cuts, a cut that breaks s | R
+    is disjoint from s and not inside R, so any small atom of R meeting it
+    breaks s alone.  Once traces are measurable, both measures add over
+    big atoms: a balanced finite set is unbalanced only by an unbalanced
+    atom, and a balanced infinite one never is.  A refusal that no set
+    backs raises :class:`InvariantError`.
     """
     _require(small, MeasureSpace, "the small space")
     _require(big, MeasureSpace, "the big space")
     x, move = _embedded(small.ground, big.ground)
     if _embeds(small, big, x, move):
         return EmbeddingReport(True)
+    cuts = [_move(atom.bits & x, move) for atom in big.algebra.atoms]
     x = SubsetMask(big.ground, x)
-    traced = []
-    for c in big.algebra.sorted_sets():
-        t = transfer_mask(c & x, small.ground)
-        if not small.algebra.member(t):
-            return EmbeddingReport(False, "trace-mismatch", c)
-        traced.append((c, t))
-    traces = {t for _, t in traced}
-    for s in small.algebra.sorted_sets():
-        if s not in traces:
-            return EmbeddingReport(False, "trace-mismatch", s)
-    for c, t in traced:
-        if big.measure_of(c) != small.measure_of(t):
-            return EmbeddingReport(False, "measure-mismatch", c)
+
+    def trace(c: SubsetMask) -> SubsetMask:
+        return transfer_mask(c & x, small.ground)
+
+    for reason, space, passes in (
+        ("trace-mismatch", big, lambda c: not small.algebra.member(trace(c))),
+        ("trace-mismatch", small, lambda s: any(c & s.bits and c & ~s.bits for c in cuts)),
+        ("measure-mismatch", big, lambda c: big.measure_of(c) != small.measure_of(trace(c))),
+    ):
+        witness = space.algebra._least_set(passes)
+        if witness is not None:
+            return EmbeddingReport(False, reason, witness)
     raise InvariantError("the atom-level check refused an embedding that no set contradicts")
 
 
@@ -184,17 +178,15 @@ class ExtensionKit(_Value):
     ):
         _require(base, MeasureSpace, "a kit's base")
         _require(pasted, SigmaAlgebra, "a kit's pasted part")
-        if not isinstance(dfamily, Mapping) or not isinstance(fibers, Mapping):
-            raise InputFormatError(
-                f"a kit's dfamily and fibers must be mappings, got {dfamily!r} and {fibers!r}"
-            )
+        _require(dfamily, Mapping, "a kit's dfamily")
+        _require(fibers, Mapping, "a kit's fibers")
         # a family object shared by many keys is checked once; ``held`` keeps
         # each object alive, so no later family can take over its id
         held: dict[int, tuple] = {}
         for key, members in dfamily.items():
             first = id(members) not in held
-            if first and not isinstance(members, Iterable):
-                raise InputFormatError(f"the pasted family of {key!r} is not a collection")
+            if first:
+                _require(members, Iterable, f"the pasted family of {key!r}")
             # read once; each member is type-checked before it is hashed
             read = (members if isinstance(members, frozenset) else tuple(members)) if first else ()
             for mask in (key, *read):
@@ -239,10 +231,8 @@ def auto_fibers(sizes: Mapping[SubsetMask, int]) -> dict[SubsetMask, tuple[str, 
     ``u`` is the least-index point of the kernel atom, so distinct atoms
     never collide.
     """
-    if not isinstance(sizes, Mapping):
-        raise InputFormatError(f"fiber sizes must be a mapping, got {sizes!r}")
     out: dict[SubsetMask, tuple[str, ...]] = {}
-    for kernel, size in sizes.items():
+    for kernel, size in _require(sizes, Mapping, "the fiber sizes").items():
         if type(size) is not int:
             raise InputFormatError(f"fiber sizes must be integers, got {size!r}")
         if size < 1:
@@ -561,17 +551,19 @@ class DecompositionRecord(_Value):
 
 
 def _induced_base(big: MeasureSpace, x: SubsetMask) -> tuple:
-    """Read an extension over X off one trace pass (see ``_trace_space``).
+    """Read an extension over X off one trace pass (see ``core._trace``).
 
     Returns the trace space on X, the bits of Z (the big atoms the pass
     did not cut), the fibers, each keyed and anchored by the trace atom
     its big atom was cut to, and the class of every point of Y minus X,
-    in atom order.  The trace space takes X's own label order, so it
-    embeds exactly when X is thick (see ``measure_embedding_report``).
-    Only a refusal runs the embedding report, for its reason and witness.
+    in atom order.  Each trace atom A & X carries A's value.  The trace
+    space takes X's own label order, so it embeds exactly when X is
+    thick (see ``measure_embedding_report``).  Only a refusal runs the
+    embedding report, for its reason and witness.
     """
     _set_bits(x, _require(big, MeasureSpace, "an extension").ground, "x")
-    small, sources = _trace_space(big, x)
+    algebra, sources = _trace(big.algebra, x, None)
+    small = MeasureSpace(algebra, tuple(big.atom_values[i] for i in sources))
     inside_of = dict(zip(sources, small.algebra.atoms))
     z_bits = 0
     fibers: dict[SubsetMask, tuple[str, ...]] = {}
@@ -653,11 +645,12 @@ def enumerate_extensions(
     values followed by one ``ZERO`` per pasted block.
     """
     _require(base, MeasureSpace, "the base")
-    if isinstance(extra_labels, str) or not isinstance(extra_labels, Iterable):
-        raise InputFormatError(f"extra labels must be a collection, got {extra_labels!r}")
-    extras = list(extra_labels)
-    if not all(isinstance(label, str) for label in extras):
-        raise InputFormatError(f"extra labels must be strings, got {extras!r}")
+    extras = list(_require(extra_labels, Iterable, "the extra labels"))
+    # a string would split into one-letter labels
+    if isinstance(extra_labels, str) or not all(isinstance(label, str) for label in extras):
+        raise InputFormatError(
+            f"extra labels must be a collection of strings, got {extra_labels!r}"
+        )
     if len(set(extras)) != len(extras):
         raise InputFormatError("extra labels must be distinct")
     if set(extras) & set(base.ground.labels):

@@ -45,8 +45,7 @@ class SetFamily(_Value):
 
     def __init__(self, algebra: SigmaAlgebra, members: frozenset[SubsetMask]):
         _require(algebra, SigmaAlgebra, "a family's algebra")
-        if not isinstance(members, Iterable):
-            raise InputFormatError(f"family members must be a collection, got {members!r}")
+        _require(members, Iterable, "a family's members")
         # read once; each member is type-checked before it is hashed
         members = members if isinstance(members, frozenset) else tuple(members)
         for m in members:

@@ -468,16 +468,17 @@ def embedding_report_oracle(small: MeasureSpace, big: MeasureSpace) -> Embedding
     counterexample found is the witness ``measure_embedding_report`` owes.
     """
     x = big.ground.mask(small.ground.labels)
+    big_sets = sorted(big.algebra.sets(), key=mask_key)
     traces = set()
-    for c in big.algebra.sorted_sets():
+    for c in big_sets:
         t = relabel_oracle(c & x, small.ground)
         traces.add(t)
         if not small.algebra.member(t):
             return EmbeddingReport(False, "trace-mismatch", c)
-    for s in small.algebra.sorted_sets():
+    for s in sorted(small.algebra.sets(), key=mask_key):
         if s not in traces:
             return EmbeddingReport(False, "trace-mismatch", s)
-    for c in big.algebra.sorted_sets():
+    for c in big_sets:
         t = relabel_oracle(c & x, small.ground)
         if big.measure_of(c) != small.measure_of(t):
             return EmbeddingReport(False, "measure-mismatch", c)
@@ -616,7 +617,7 @@ def thick_witness_oracle(ms, x):
     return next(
         (
             c
-            for c in ms.algebra.sorted_sets()
+            for c in sorted(ms.algebra.sets(), key=mask_key)
             if c.bits & x.bits == 0 and measure_oracle(ms, c) != ZERO
         ),
         None,
@@ -633,6 +634,41 @@ def spaces_and_subsets_up_to(n_points):
                 ms = MeasureSpace(algebra, values)
                 for bits in range(1 << n):
                     yield ms, SubsetMask(g, bits)
+
+
+_VALUES = ("0", "1/2", "1", "2", "inf")
+
+
+def random_space(rng, labels):
+    """A seeded space on ``labels``: a partition into a uniform number of
+    atoms (the first points, shuffled, open one atom each, the others join
+    one at random), each valued in {0, 1/2, 1, 2, inf}."""
+    g = GroundSet(tuple(labels))
+    points = list(range(g.size))
+    rng.shuffle(points)
+    blocks = [1 << i for i in points[: rng.randint(1, g.size)]] if points else []
+    for i in points[len(blocks) :]:
+        blocks[rng.randrange(len(blocks))] |= 1 << i
+    atoms = tuple(SubsetMask(g, bits) for bits in blocks)
+    return MeasureSpace(SigmaAlgebra(g, atoms), tuple(rng.choice(_VALUES) for _ in atoms))
+
+
+def random_report_pair(rng, n_points):
+    """A seeded (small, big) pair: a random big space on ``n_points``
+    points, X a random subset of it listed by small in shuffled order,
+    and small the trace space on X, that space with one value changed,
+    or a random space on X."""
+    big = random_space(rng, [f"p{i}" for i in range(n_points)])
+    x_labels = [label for label in big.ground.labels if rng.random() < 0.7]
+    rng.shuffle(x_labels)
+    kind = rng.randrange(3)
+    if kind == 2:
+        return random_space(rng, x_labels), big
+    small = trace_space(big, big.ground.mask(x_labels), GroundSet(tuple(x_labels)))
+    values = list(small.atom_values)
+    if kind == 1 and values:
+        values[rng.randrange(len(values))] = rng.choice(_VALUES)
+    return MeasureSpace(small.algebra, tuple(values)), big
 
 
 def classify_family_oracle(family: SetFamily) -> UltrafilterRecord:

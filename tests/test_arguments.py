@@ -8,8 +8,10 @@ import pytest
 
 import measpace
 from measpace import (
+    ExtensionKit,
     GroundMismatchError,
     InputFormatError,
+    MeasureSpace,
     SetFamily,
     SigmaAlgebra,
     ZeroOneMeasure,
@@ -84,6 +86,19 @@ def _refused_calls():
     for op in ("__or__", "__and__", "__sub__", "issubset", "__le__", "isdisjoint"):
         cases.append((f"SubsetMask.{op}", lambda op=op: getattr(a, op)(None)))
     cases.append(("GroundSet.mask('ab')", lambda: a.ground.mask("ab")))
+    ms, kit = valid["identity_kit"][0], valid["validate_kit"][0]
+    for name, call in (
+        ("auto_fibers", lambda: measpace.auto_fibers(5)),
+        ("ExtensionKit[dfamily]", lambda: ExtensionKit(ms, kit.pasted, 5, {})),
+        ("ExtensionKit[fibers]", lambda: ExtensionKit(ms, kit.pasted, kit.dfamily, 5)),
+        ("ExtensionKit[a pasted family]", lambda: ExtensionKit(ms, kit.pasted, {a: 5}, {})),
+        ("SetFamily", lambda: SetFamily(ms.algebra, 5)),
+        ("enumerate_extensions", lambda: measpace.enumerate_extensions(ms, 5)),
+        ("generate_sigma_algebra", lambda: measpace.generate_sigma_algebra(a.ground, 5)),
+        ("SigmaAlgebra", lambda: SigmaAlgebra(a.ground, 5)),
+        ("MeasureSpace", lambda: MeasureSpace(ms.algebra, 5)),
+    ):
+        cases.append((f"{name}[container=5]", call))
     return cases
 
 
@@ -92,8 +107,9 @@ CASES = _refused_calls()
 
 def test_every_required_argument_is_sampled():
     # 49 required arguments of the 29 exported functions, one target of
-    # the wrong type, six mask operators and one label string
-    assert len(CASES) == 49 + 1 + 6 + 1
+    # the wrong type, six mask operators, one label string and nine
+    # containers that are none
+    assert len(CASES) == 49 + 1 + 6 + 1 + 9
 
 
 @pytest.mark.parametrize("call", [call for _, call in CASES], ids=[name for name, _ in CASES])

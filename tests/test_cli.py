@@ -1,6 +1,7 @@
 """CLI golden tests: every verb, canonical byte-stable JSON, exit codes."""
 import io
 import json
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -10,10 +11,11 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from measpace import SigmaAlgebra
 from measpace.cli import run
 from measpace.jsonio import canonical_dumps, space_to_obj
 
-from support import spaces_and_subsets_up_to, thick_witness_oracle
+from support import random_space, spaces_and_subsets_up_to, thick_witness_oracle
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "golden"
@@ -118,21 +120,47 @@ def test_stdin_input(capsys, monkeypatch):
     assert capsys.readouterr().out == (GOLDEN / "atoms.json").read_text()
 
 
+def _thick_answer(ms, x, capsys, monkeypatch):
+    """The thick verb's exit code and output for ``x`` in ``ms``, read from stdin."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(space_to_obj(ms))))
+    code = run(["thick", "--space", "-", "--set", json.dumps(list(x.labels()))])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def _expected_thick_answer(witness):
+    if witness is None:
+        return 0, {"ok": True}
+    return 1, {"ok": False, "witness": list(witness.labels())}
+
+
 def test_thick_witness_matches_the_scan_oracle(capsys, monkeypatch):
-    # every set that is not thick, in every space up to 4 points with
-    # values in {0, 1, inf}, read from stdin
+    # every set in every space up to 4 points with values in {0, 1, inf}:
+    # the verb names the oracle's witness, or answers ok when there is
+    # none, and never lists the measurable sets; the oracle lists them,
+    # so it runs before the patch
+    cases = [(ms, x, thick_witness_oracle(ms, x)) for ms, x in spaces_and_subsets_up_to(4)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the thick verb walked an algebra")
+
+    monkeypatch.setattr(SigmaAlgebra, "sets", refuse)
     refused = 0
-    for ms, x in spaces_and_subsets_up_to(4):
+    for ms, x, witness in cases:
+        assert _thick_answer(ms, x, capsys, monkeypatch) == _expected_thick_answer(witness)
+        refused += witness is not None
+    assert refused > 1000 and len(cases) - refused > 1000
+
+
+def test_thick_witness_matches_the_scan_oracle_at_9_to_12_points(capsys, monkeypatch):
+    rng = random.Random(24)
+    refused = 0
+    for n in (9, 10, 11, 12) * 10:
+        ms = random_space(rng, [f"p{i}" for i in range(n)])
+        x = ms.ground.mask(label for label in ms.ground.labels if rng.random() < 0.7)
         witness = thick_witness_oracle(ms, x)
-        if witness is None:
-            continue
-        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(space_to_obj(ms))))
-        code = run(["thick", "--space", "-", "--set", json.dumps(list(x.labels()))])
-        assert code == 1
-        out = json.loads(capsys.readouterr().out)
-        assert out == {"ok": False, "witness": list(witness.labels())}
-        refused += 1
-    assert refused > 1000
+        assert _thick_answer(ms, x, capsys, monkeypatch) == _expected_thick_answer(witness)
+        refused += witness is not None
+    assert 0 < refused < 40
 
 
 def test_error_objects(capsys, tmp_path):

@@ -29,7 +29,7 @@ from measpace import (
     transfer_mask,
 )
 from measpace.core import _partitions, bits_key, generated_atom_bits
-from measpace.embeddings import _trace_space
+from measpace.embeddings import _induced_base
 from measpace.partitions import set_partitions
 
 from support import (
@@ -224,12 +224,34 @@ def test_sets_builds_what_the_public_constructor_builds():
             assert copy.deepcopy(members) == members
 
 
-def test_sorted_sets_order_is_the_range_walk_order():
+def test_mask_key_order_is_the_range_walk_order():
     for n in range(6):
         g = GroundSet(tuple(f"p{i}" for i in range(n)))
         for algebra in all_sigma_algebras(g):
             expected = sorted(algebra.sets(), key=_indices_by_range_walk)
-            assert algebra.sorted_sets() == expected
+            assert sorted(algebra.sets(), key=mask_key) == expected
+
+
+def test_least_set_is_the_least_passing_set_in_mask_key_order():
+    # one-step predicates on every algebra up to 5 points: meeting Y, not
+    # lying inside Y, and meeting Y while missing its least point (a set
+    # that holds that point never passes, so the walk must skip its atom)
+    walked = 0
+    for n in range(6):
+        g = GroundSet(tuple(f"p{i}" for i in range(n)))
+        for algebra in all_sigma_algebras(g):
+            ordered = sorted(algebra.sets(), key=mask_key)
+            for y in range(1 << n):
+                low = y & -y
+                for passes in (
+                    lambda c: c.bits & y,
+                    lambda c: c.bits & ~y,
+                    lambda c: c.bits & y and not c.bits & low,
+                ):
+                    expected = next((c for c in ordered if passes(c)), None)
+                    assert algebra._least_set(passes) == expected
+                    walked += expected is not None
+    assert walked > 3000
 
 
 # ------------------------------------------------------------- algebras
@@ -616,7 +638,8 @@ def test_trace_pass_matches_its_definition():
     # the trace pass behind trace_algebra, transfer_mask and the trace space
     # against the raw-bit oracles: every algebra on up to 5 points, every X,
     # and X's labels both in ground order and reversed; distinct atom values
-    # check that each trace atom carries the value of its own big atom
+    # check that each trace atom carries the value of its own big atom in
+    # the induced base, which reads the trace space on a thick X
     compared = 0
     for n in range(6):
         g = GroundSet(tuple("abcde"[:n]))
@@ -628,7 +651,8 @@ def test_trace_pass_matches_its_definition():
                 for target in (None, GroundSet(x.labels()[::-1])):
                     expected = trace_algebra_oracle(algebra, x, target)
                     assert trace_algebra(algebra, x, target) == expected
-                    assert _trace_space(ms, x, target)[0] == trace_space(ms, x, target)
+                    if target is None and ms.is_thick(x):
+                        assert _induced_base(ms, x)[0] == trace_space(ms, x)
                     for atom in algebra.atoms:
                         cut = atom & x
                         assert transfer_mask(cut, expected.ground) == relabel_oracle(

@@ -3,6 +3,7 @@ import copy
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 from functools import cache
@@ -59,6 +60,7 @@ from support import (
     induced_base_oracle,
     kit_dfamily_oracle,
     outcome,
+    random_report_pair,
     refinement_oracle,
     rgs_partitions,
     small_kits,
@@ -371,9 +373,12 @@ def test_kit_names_the_first_refused_dfamily_entry_in_dict_order():
         ({first: [pasted.ground.empty, "m"], "k": good}, "got 'm'"),
         ({first: once, "k": good}, "got 'm'"),
         ({"k": good, first: [pasted.ground.empty, "m"]}, "got 'k'"),
-        ({first: good, second: None, "k": good}, f"family of {second!r} is not a collection"),
+        (
+            {first: good, second: None, "k": good},
+            re.escape(f"pasted family of {second!r} must be an Iterable, got None"),
+        ),
         ({"k": good, second: None}, "got 'k'"),
-        ({first: good, second: good, "k": None}, "family of 'k' is not a collection"),
+        ({first: good, second: good, "k": None}, "family of 'k' must be an Iterable, got None"),
         ({first: [1], second: [2]}, "got 1"),
         ({first: good, second: ["m"], rest[0]: None}, "got 'm'"),
     ):
@@ -396,8 +401,19 @@ def test_kit_names_the_first_refused_dfamily_entry_in_dict_order():
         pytest.param(
             "a", 1, "^a fiber kernel must be a SubsetMask, got 'a'$", id="a-1-nonempty SubsetMask"
         ),
-        ("sizes", None, "must be a mapping"),
-        ("sizes", [1], "must be a mapping"),
+        # so do the two cases of sizes that are not a mapping
+        pytest.param(
+            "sizes",
+            None,
+            "^the fiber sizes must be a Mapping, got None$",
+            id="sizes-None-must be a mapping",
+        ),
+        pytest.param(
+            "sizes",
+            [1],
+            r"^the fiber sizes must be a Mapping, got \[1\]$",
+            id="sizes-size8-must be a mapping",
+        ),
     ],
 )
 def test_auto_fibers_refuses_a_bad_size_or_kernel(kernel, size, message):
@@ -1024,7 +1040,6 @@ def test_validate_kit_never_walks_an_algebra(monkeypatch):
         raise AssertionError("validate_kit walked an algebra")
 
     monkeypatch.setattr(SigmaAlgebra, "sets", refuse)
-    monkeypatch.setattr(SigmaAlgebra, "sorted_sets", refuse)
     refused = 0
     for kit, expected, _ in cases:
         assert validate_kit(kit) == expected
@@ -1173,11 +1188,14 @@ def _counted_init(init, built):
     return counted
 
 
-def test_measure_embedding_report_matches_oracle():
+def _report_cases(n_points):
+    """(small, big) for each base and extension of ``_extensions_up_to``:
+    the extension, each copy with one atom value moved on, one seeded
+    random space on its ground, and its copy over the reversed ground,
+    against the base and against the base listed the other way round."""
     rng = random.Random(5)
     values = (ZERO, ONE, ExtReal_cycle(2), INFINITY)
-    outcomes = set()
-    for base, ext in _extensions_up_to(5):
+    for base, ext in _extensions_up_to(n_points):
         candidates = [ext]
         for i, v in enumerate(ext.atom_values):
             changed = list(ext.atom_values)
@@ -1195,11 +1213,34 @@ def test_measure_embedding_report_matches_oracle():
         # other way round from the big ground
         candidates.append(_relabelled(ext, GroundSet(ext.ground.labels[::-1])))
         reversed_base = _relabelled(base, GroundSet(base.ground.labels[::-1]))
-        for small, big in iproduct((base, reversed_base), candidates):
-            report = measure_embedding_report(small, big)
-            assert report == embedding_report_oracle(small, big)
-            outcomes.add(report.reason)
+        yield from iproduct((base, reversed_base), candidates)
+
+
+def test_measure_embedding_report_matches_oracle():
+    outcomes = set()
+    for small, big in _report_cases(5):
+        report = measure_embedding_report(small, big)
+        assert report == embedding_report_oracle(small, big)
+        outcomes.add(report.reason)
     assert outcomes == {None, "trace-mismatch", "measure-mismatch"}
+
+
+def test_measure_embedding_report_matches_oracle_at_9_to_12_points():
+    # seeded pairs past the exhaustive sizes, where a walk that takes a
+    # wrong atom has room to name a later set than the scan does
+    rng = random.Random(24)
+    outcomes = set()
+    for n in (9, 10, 11, 12) * 25:
+        small, big = random_report_pair(rng, n)
+        report = measure_embedding_report(small, big)
+        assert report == embedding_report_oracle(small, big)
+        outcomes.add((report.reason, report.ok or report.witness.ground == small.ground))
+    assert outcomes == {
+        (None, True),
+        ("trace-mismatch", False),  # a big set whose trace is not measurable
+        ("trace-mismatch", True),  # a small set that is no trace
+        ("measure-mismatch", False),
+    }
 
 
 def test_measure_embedding_report_in_another_label_order_and_with_a_heavy_null_atom():
@@ -1226,30 +1267,21 @@ def test_measure_embedding_report_in_another_label_order_and_with_a_heavy_null_a
     assert thin.witness.labels() == ("a", "b", "p")
 
 
-def test_measure_mismatch_sorts_the_big_sets_once(monkeypatch):
-    # the measure pass reads back the (set, trace) pairs of the trace pass
-    sorted_sets = SigmaAlgebra.sorted_sets
-    sorted_by = []
+def test_refused_embeddings_never_walk_an_algebra(monkeypatch):
+    # each witness is found by a walk over the atoms, never by listing the
+    # measurable sets; the oracle lists them, so it runs before the patch
+    cases = [(small, big, embedding_report_oracle(small, big)) for small, big in _report_cases(4)]
 
-    def counted(algebra):
-        sorted_by.append(algebra)
-        return sorted_sets(algebra)
+    def refuse(*args, **kwargs):
+        raise AssertionError("measure_embedding_report walked an algebra")
 
-    monkeypatch.setattr(SigmaAlgebra, "sorted_sets", counted)
-    refused = 0
-    for base, ext in _extensions_up_to(4):
-        for i, v in enumerate(ext.atom_values):
-            changed = list(ext.atom_values)
-            changed[i] = ONE if v == ZERO else ZERO
-            big = MeasureSpace(ext.algebra, tuple(changed))
-            sorted_by.clear()
-            report = measure_embedding_report(base, big)
-            big_sorts = sum(algebra is big.algebra for algebra in sorted_by)
-            assert report == embedding_report_oracle(base, big)
-            if report.reason == "measure-mismatch":
-                assert big_sorts == 1
-                refused += 1
-    assert refused > 100
+    monkeypatch.setattr(SigmaAlgebra, "sets", refuse)
+    refused = {"trace-mismatch": 0, "measure-mismatch": 0}
+    for small, big, expected in cases:
+        assert measure_embedding_report(small, big) == expected
+        if not expected.ok:
+            refused[expected.reason] += 1
+    assert refused["trace-mismatch"] > 40 and refused["measure-mismatch"] > 300
 
 
 def test_submasks_yield_each_submask_once_from_the_top_down():
