@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import jsonio
-from .core import ZERO, generate_sigma_algebra
+from .core import generate_sigma_algebra
 from .errors import InputFormatError, MeaspaceError
 
 
@@ -96,10 +96,7 @@ def _cmd_outer(args):
 
 def _cmd_thick(args):
     ms = _load(args.space, jsonio.space_from_obj)
-    x = ms.ground.mask(_set_arg(args))
-    # one-step: a null set outside X gains weight only from a non-null atom
-    # outside X, and that atom alone is enough; None means X is thick
-    witness = ms.algebra._least_set(lambda c: c.isdisjoint(x) and ms.inner_measure(c) != ZERO)
+    witness = ms._thick_witness(ms.ground.mask(_set_arg(args)))
     if witness is None:
         return 0, {"ok": True}
     return 1, {"ok": False, "witness": jsonio.labels_list(witness)}
@@ -189,7 +186,9 @@ def _cmd_enumerate_extensions(args):
     from .embeddings import enumerate_extensions
 
     base = _load(args.space, jsonio.space_from_obj)
-    extras = [s for s in (args.extra or "").split(",") if s]
+    # an empty label between commas is refused like any other; no flag, or
+    # an empty one, means no fresh points
+    extras = args.extra.split(",") if args.extra else []
     spaces = enumerate_extensions(base, extras)
     return 0, {
         "count": len(spaces),
@@ -278,7 +277,7 @@ _FLAG_HELP = {
     "kit": "path to an extension-kit JSON file",
     "set": "JSON array of point labels",
     "point": "a single point label",
-    "extra": "comma-separated fresh labels (may be empty)",
+    "extra": "comma-separated fresh labels, each nonempty (omit it, or pass '', for none)",
 }
 
 
@@ -318,17 +317,15 @@ def run(argv: list[str]) -> int:
         handler, _ = _VERBS[args.verb]
         code, payload = handler(args)
         _emit(payload, args.out)
+        return code
     except MeaspaceError as exc:
-        error = {
-            "error": {
-                "code": exc.code,
-                "message": str(exc),
-                "path": getattr(exc, "path", None),
-            }
-        }
-        sys.stdout.write(jsonio.canonical_dumps(error))
-        return 2
-    return code
+        error = {"code": exc.code, "message": str(exc), "path": getattr(exc, "path", None)}
+    except MemoryError:
+        # reported once this clause has dropped the traceback, and with it
+        # the frames that hold the partial result
+        error = {"code": "out-of-memory", "message": "ran out of memory", "path": None}
+    sys.stdout.write(jsonio.canonical_dumps({"error": error}))
+    return 2
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -508,8 +508,8 @@ class SigmaAlgebra(_Value):
             yield SubsetMask._trusted(self.ground, bits)
 
     def _least_set(self, passes) -> SubsetMask | None:
-        """The least measurable set in ``mask_key`` order for which
-        ``passes(mask)`` holds, or None, from O(k**2) calls on k atoms.
+        """The least measurable set in ``mask_key`` order whose raw bits pass
+        ``passes`` (the one mask built), or None, from O(k**2) calls on k atoms.
 
         ``passes`` must be one-step: if C fails and C | R passes for a
         union R of atoms, so does C plus one atom of R.  The atoms come by
@@ -518,18 +518,14 @@ class SigmaAlgebra(_Value):
         atom is taken whenever the chosen set plus it still passes, or
         does with one more later atom.
         """
-        ground, atoms = self.ground, [atom.bits for atom in self.atoms]
-
-        def ok(bits: int) -> bool:
-            return passes(SubsetMask._trusted(ground, bits))
-
+        atoms = [atom.bits for atom in self.atoms]
         chosen = 0
         for i, atom in enumerate(atoms):
-            if chosen < atom & -atom and ok(chosen):
+            if chosen < atom & -atom and passes(chosen):
                 break
-            if ok(chosen | atom) or any(ok(chosen | atom | b) for b in atoms[i + 1 :]):
+            if passes(chosen | atom) or any(passes(chosen | atom | b) for b in atoms[i + 1 :]):
                 chosen |= atom
-        return SubsetMask._trusted(ground, chosen) if ok(chosen) else None
+        return SubsetMask._trusted(self.ground, chosen) if passes(chosen) else None
 
     def __repr__(self) -> str:
         return "SigmaAlgebra[%s]" % "|".join(repr(a) for a in self.atoms)
@@ -607,25 +603,33 @@ def transfer_mask(mask: SubsetMask, target: GroundSet) -> SubsetMask:
     return SubsetMask(target, _move(mask.bits, move))
 
 
+def _cuts(algebra: SigmaAlgebra, target: GroundSet, x: int | None = None) -> tuple[int, list[int]]:
+    """X as raw bits (by default the points of ``target``, all in the
+    algebra's ground) and the cut list every trace and embedding test reads:
+    each atom's A & X moved onto ``target`` by one ``_bit_table``.  Of the
+    points of a given X that ``target`` lacks, the first met atom by atom is named."""
+    inside, move = _bit_table(algebra.ground, target)
+    if x is None:
+        x = inside
+        if x.bit_count() != len(target.labels):
+            raise GroundMismatchError("the small ground set is not a subset of the big one")
+    elif missing := x & ~inside:
+        first = next(atom.bits & missing for atom in algebra.atoms if atom.bits & missing)
+        target.index(algebra.ground.labels[bits_key(first)[0]])
+    point = move.__getitem__  # ``_move`` inline: every embedding check comes here
+    return x, [(cut := atom.bits & x) and sum(map(point, bits_key(cut))) for atom in algebra.atoms]
+
+
 def _trace(
     algebra: SigmaAlgebra, x: SubsetMask, target: GroundSet | None
 ) -> tuple[SigmaAlgebra, list[int]]:
-    """The one trace pass: ``trace_algebra``, and for each of its atoms in
-    order the index of the atom A of ``algebra`` it is cut from.  Each
-    A & X is moved on raw bits through one ``_bit_table``; atoms are
-    disjoint, so each point of X is moved once, and the cuts' distinct
-    least points put them in order.  A point of X that ``target`` lacks
-    is named as a lookup atom by atom would meet it first.
-    """
+    """The one trace pass: ``trace_algebra``, whose atoms are the nonempty
+    ``_cuts`` in order of their distinct least points, and for each of its
+    atoms the index of the atom of ``algebra`` it is cut from."""
     x_bits = _set_bits(x, _require(algebra, SigmaAlgebra, "an algebra").ground)
     if target is None:
         target = GroundSet(x.labels())
-    inside, move = _bit_table(algebra.ground, _require(target, GroundSet, "the target"))
-    missing = x_bits & ~inside
-    if missing:
-        first = next(atom.bits & missing for atom in algebra.atoms if atom.bits & missing)
-        target.index(algebra.ground.labels[bits_key(first)[0]])
-    cut = [_move(atom.bits & x_bits, move) for atom in algebra.atoms]
+    cut = _cuts(algebra, _require(target, GroundSet, "the target"), x_bits)[1]
     sources = sorted((i for i, b in enumerate(cut) if b), key=lambda i: cut[i] & -cut[i])
     return SigmaAlgebra(target, tuple(SubsetMask(target, cut[i]) for i in sources)), sources
 
@@ -687,9 +691,12 @@ class MeasureSpace(_Value):
 
     def inner_measure(self, s: SubsetMask) -> ExtReal:
         """max over measurable C <= s of the measure of C: the atoms inside ``s``."""
-        outside = ~_set_bits(s, self.algebra.ground)
+        return self._inner(_set_bits(s, self.algebra.ground))
+
+    def _inner(self, bits: int) -> ExtReal:
+        """``inner_measure`` of raw ``bits``: the sum of the atoms inside them."""
         pairs = zip(self.algebra.atoms, self.atom_values)
-        return sum((v for a, v in pairs if a.bits & outside == 0), ZERO)
+        return sum((v for a, v in pairs if not a.bits & ~bits), ZERO)
 
     def is_thick(self, x: SubsetMask) -> bool:
         """True iff the complement of ``x`` has inner measure zero.
@@ -697,7 +704,14 @@ class MeasureSpace(_Value):
         Equivalently: every measurable set disjoint from ``x`` is null,
         i.e. ``x`` has full outer measure.
         """
-        return self.inner_measure(_require(x, SubsetMask, "a set").complement()) == ZERO
+        return self._inner(~_set_bits(x, self.algebra.ground)) == ZERO
+
+    def _thick_witness(self, x: SubsetMask) -> SubsetMask | None:
+        """The least measurable set, in ``mask_key`` order, that misses ``x``
+        and is not null, or None exactly when ``x`` is thick.  One-step: a
+        null set outside X gains weight only, and always, from a non-null atom outside X."""
+        x_bits = _set_bits(x, self.algebra.ground)
+        return self.algebra._least_set(lambda c: not c & x_bits and self._inner(c) != ZERO)
 
     @property
     def total(self) -> ExtReal:

@@ -29,6 +29,7 @@ from .core import (
     SubsetMask,
     _bit_table,
     _check_label,
+    _cuts,
     _move,
     _ordered,
     _require,
@@ -41,10 +42,8 @@ from .core import (
     generated_atom_bits,
     mask_key,
     trace_algebra,
-    transfer_mask,
 )
 from .errors import (
-    GroundMismatchError,
     InputFormatError,
     InvalidKitError,
     InvariantError,
@@ -55,21 +54,11 @@ from .errors import (
 ENUMERATION_CAP = 8
 
 
-def _embedded(small: GroundSet, big: GroundSet) -> tuple[int, list[int]]:
-    """X, the points of ``big`` that ``small`` labels, as raw bits, and the
-    ``_bit_table`` that moves them onto ``small``."""
-    x, move = _bit_table(big, small)
-    if x.bit_count() != len(small.labels):
-        raise GroundMismatchError("the small ground set is not a subset of the big one")
-    return x, move
-
-
 def check_measurable_embedding(small: SigmaAlgebra, big: SigmaAlgebra) -> bool:
     """True iff the trace of ``big`` on the small ground set equals ``small``."""
     _require(small, SigmaAlgebra, "the small algebra")
-    _require(big, SigmaAlgebra, "the big algebra")
-    x = SubsetMask(big.ground, _embedded(small.ground, big.ground)[0])
-    return trace_algebra(big, x, small.ground) == small
+    cuts = _cuts(_require(big, SigmaAlgebra, "the big algebra"), small.ground)[1]
+    return {cut for cut in cuts if cut} == {atom.bits for atom in small.atoms}
 
 
 class EmbeddingReport(_Value):
@@ -83,20 +72,15 @@ class EmbeddingReport(_Value):
         _setattr(self, "witness", witness)
 
 
-def _embeds(small: MeasureSpace, big: MeasureSpace, x: int, move: list[int]) -> bool:
+def _embeds(small: MeasureSpace, big: MeasureSpace, cuts: list[int]) -> bool:
     """True iff X is thick and the trace space of ``big`` on X, in the small
-    ground's label order, equals ``small``, decided on raw bits: every big
-    atom that misses X is null, and the cuts A & X of the others, moved
-    through ``move``, are exactly the atoms of ``small``, each with A's value.
-    """
+    ground's label order, equals ``small``, decided on the raw ``cuts``: big
+    atoms that miss X are null, and the other atoms' cuts A & X are exactly
+    the atoms of ``small``, each with A's value."""
     value_of = {atom.bits: value for atom, value in zip(small.algebra.atoms, small.atom_values)}
-    for atom, value in zip(big.algebra.atoms, big.atom_values):
-        cut = atom.bits & x
-        if not cut:
-            if value != ZERO:
-                return False
-        # a cut that is no atom of small, or one met twice, gets None
-        elif value_of.pop(_move(cut, move), None) != value:
+    for cut, value in zip(cuts, big.atom_values):
+        # empty cuts need null atoms; a cut no small atom has, or met twice, gets None
+        if (value_of.pop(cut, None) if cut else ZERO) != value:
             return False
     return not value_of
 
@@ -110,35 +94,38 @@ def measure_embedding_report(small: MeasureSpace, big: MeasureSpace) -> Embeddin
     X must weigh mu(A & X), where A & X is an atom of ``small`` once the
     traces agree.  Both measures are additive, so agreement on the atoms
     is agreement on every measurable set.  ``_embeds`` decides this on
-    raw bits, moving each cut through one label-to-bit table, and builds
-    no ground set, mask, algebra or space.  A failing pair's witness is
-    the least set, in canonical order, that is a big set whose trace is
-    not measurable in ``small``, else a small set that is no union of cuts
-    A & X, else a big set whose measure is not its trace's: one
-    ``_least_set`` walk each.  Each property is one-step.  Cuts are
-    disjoint, so a measurable trace turns unmeasurable only by adding an
-    atom whose cut is.  If s is a union of cuts, a cut that breaks s | R
-    is disjoint from s and not inside R, so any small atom of R meeting it
-    breaks s alone.  Once traces are measurable, both measures add over
-    big atoms: a balanced finite set is unbalanced only by an unbalanced
-    atom, and a balanced infinite one never is.  A refusal that no set
-    backs raises :class:`InvariantError`.
+    the one cut list (``core._cuts``) and builds no ground set, mask,
+    algebra or space.  A failing pair's witness is the least set, in
+    canonical order, that is a big set whose trace (the union of its
+    atoms' cuts) splits a small atom, else a small set that splits a cut,
+    else a big set whose measure is not its trace's: one ``_least_set``
+    walk each, on raw bits.  Each property is one-step.  Cuts are
+    disjoint, so a trace starts to split a small atom only by adding an
+    atom whose cut does.  If s splits no cut, a cut that s | R splits is
+    disjoint from s and not inside R, so s plus any atom of R that meets
+    it splits it.  Once traces are measurable, both measures add over big
+    atoms: a balanced finite set is unbalanced only by an unbalanced atom,
+    and a balanced infinite one never is.  A refusal that no set backs
+    raises :class:`InvariantError`.
     """
     _require(small, MeasureSpace, "the small space")
     _require(big, MeasureSpace, "the big space")
-    x, move = _embedded(small.ground, big.ground)
-    if _embeds(small, big, x, move):
+    cuts = _cuts(big.algebra, small.ground)[1]
+    if _embeds(small, big, cuts):
         return EmbeddingReport(True)
-    cuts = [_move(atom.bits & x, move) for atom in big.algebra.atoms]
-    x = SubsetMask(big.ground, x)
+    pairs = list(zip([atom.bits for atom in big.algebra.atoms], cuts))
+    small_atoms = [atom.bits for atom in small.algebra.atoms]
 
-    def trace(c: SubsetMask) -> SubsetMask:
-        return transfer_mask(c & x, small.ground)
+    def trace(c: int) -> int:
+        return sum(cut for atom, cut in pairs if atom & c)
+
+    def splits(s: int, parts: list[int]) -> bool:
+        return any(s & part not in (0, part) for part in parts)
 
     for reason, space, passes in (
-        ("trace-mismatch", big, lambda c: not small.algebra.member(trace(c))),
-        ("trace-mismatch", small, lambda s: any(c & s.bits and c & ~s.bits for c in cuts)),
-        ("measure-mismatch", big, lambda c: big.measure_of(c) != small.measure_of(trace(c))),
+        ("trace-mismatch", big, lambda c: splits(trace(c), small_atoms)),
+        ("trace-mismatch", small, lambda s: splits(s, cuts)),
+        ("measure-mismatch", big, lambda c: big._inner(c) != small._inner(trace(c))),
     ):
         witness = space.algebra._least_set(passes)
         if witness is not None:

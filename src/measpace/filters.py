@@ -27,6 +27,7 @@ from .core import (
     SigmaAlgebra,
     SubsetMask,
     ZERO,
+    _cuts,
     _require,
     _set_bits,
     _setattr,
@@ -245,10 +246,10 @@ def lift_to_superspace(
     small_labels = f.algebra.ground.labels
     if not set(small_labels) <= set(superalgebra.ground.labels):
         raise GroundMismatchError("the ultrafilter's points are not in the superspace")
-    x = superalgebra.ground.mask(small_labels)
-    if not superalgebra.member(x):
+    x, cuts = _cuts(superalgebra, f.algebra.ground)
+    if any(atom.bits & x not in (0, atom.bits) for atom in superalgebra.atoms):
         raise PreconditionError("X is not measurable in the superalgebra")
-    if trace_algebra(superalgebra, x, f.algebra.ground) != f.algebra:
+    if {cut for cut in cuts if cut} != {atom.bits for atom in f.algebra.atoms}:
         raise PreconditionError(
             "the ultrafilter's algebra is not the trace of the superalgebra on X"
         )

@@ -740,7 +740,16 @@ def ultrafilter_from_01_measure_oracle(m):
 
 
 def lift_to_superspace_oracle(f, superalgebra):
-    """{G : G contains some member of f}, classified."""
+    """{G : G contains some member of f}, classified, with the same
+    refusal messages: X, the points of f, must be a measurable set of the
+    superalgebra whose trace algebra is f's."""
+    x = superalgebra.ground.mask(f.algebra.ground.labels)
+    if x not in set(superalgebra.sets()):
+        raise PreconditionError("X is not measurable in the superalgebra")
+    if trace_algebra_oracle(superalgebra, x, f.algebra.ground) != f.algebra:
+        raise PreconditionError(
+            "the ultrafilter's algebra is not the trace of the superalgebra on X"
+        )
     lifted = frozenset(
         g
         for g in superalgebra.sets()

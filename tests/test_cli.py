@@ -295,6 +295,38 @@ def test_error_objects(capsys, tmp_path):
     assert code == 2 and err["code"] == "bad-input"
 
 
+def test_memory_exhaustion_is_an_error_object(capsys, monkeypatch):
+    # a verb that runs out of memory exits 2 with the error object every
+    # other failure gets, and prints no traceback
+    from measpace import cli
+
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._VERBS, "validate-kit", (exhausted, ["kit"]))
+    code = run(["validate-kit", "--kit", fx("kit_identity.json")])
+    out, stderr = capsys.readouterr()
+    assert code == 2 and stderr == ""
+    assert json.loads(out) == {
+        "error": {"code": "out-of-memory", "message": "ran out of memory", "path": None}
+    }
+
+
+def test_enumerate_extensions_refuses_an_empty_extra_label(capsys):
+    # an empty piece between commas is a bad label like any other; no
+    # --extra, or an empty one, means no fresh points
+    argv = ["enumerate-extensions", "--space", fx("small_x.json")]
+    for extra in ("p,,q", ",p", "p,"):
+        code = run([*argv, "--extra", extra])
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert code == 2
+        assert err["code"] == "bad-input"
+        assert err["message"] == "point labels must be nonempty strings, got ''"
+    for flags in ([], ["--extra", ""]):
+        assert run([*argv, *flags]) == 0
+        assert json.loads(capsys.readouterr().out)["count"] == 1
+
+
 # (case, argv index) for every fixture file a CASES entry reads
 FIXTURE_ARGS = [
     (case, i)

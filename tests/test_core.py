@@ -233,9 +233,10 @@ def test_mask_key_order_is_the_range_walk_order():
 
 
 def test_least_set_is_the_least_passing_set_in_mask_key_order():
-    # one-step predicates on every algebra up to 5 points: meeting Y, not
-    # lying inside Y, and meeting Y while missing its least point (a set
-    # that holds that point never passes, so the walk must skip its atom)
+    # one-step predicates on raw bits, on every algebra up to 5 points:
+    # meeting Y, not lying inside Y, and meeting Y while missing its least
+    # point (a set that holds that point never passes, so the walk must
+    # skip its atom)
     walked = 0
     for n in range(6):
         g = GroundSet(tuple(f"p{i}" for i in range(n)))
@@ -244,11 +245,11 @@ def test_least_set_is_the_least_passing_set_in_mask_key_order():
             for y in range(1 << n):
                 low = y & -y
                 for passes in (
-                    lambda c: c.bits & y,
-                    lambda c: c.bits & ~y,
-                    lambda c: c.bits & y and not c.bits & low,
+                    lambda c: c & y,
+                    lambda c: c & ~y,
+                    lambda c: c & y and not c & low,
                 ):
-                    expected = next((c for c in ordered if passes(c)), None)
+                    expected = next((c for c in ordered if passes(c.bits)), None)
                     assert algebra._least_set(passes) == expected
                     walked += expected is not None
     assert walked > 3000

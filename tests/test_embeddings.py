@@ -61,11 +61,13 @@ from support import (
     kit_dfamily_oracle,
     outcome,
     random_report_pair,
+    random_space,
     refinement_oracle,
     rgs_partitions,
     small_kits,
     space,
     spaces_and_subsets_up_to,
+    trace_algebra_oracle,
     trace_space,
     validate_kit_oracle,
 )
@@ -467,7 +469,7 @@ def test_a_fast_refusal_without_a_witness_raises(monkeypatch):
     with pytest.raises(InvariantError, match="no condition contradicts"):
         validate_kit(kit)
 
-    monkeypatch.setattr(embeddings, "_embeds", lambda small, big, x, move: False)
+    monkeypatch.setattr(embeddings, "_embeds", lambda small, big, cuts: False)
     with pytest.raises(InvariantError, match="no set contradicts"):
         measure_embedding_report(base, base)
 
@@ -1139,41 +1141,36 @@ def test_construct_extension_refines_the_closure_once(monkeypatch):
 def test_construct_extension_measures_no_set_and_moves_no_pair(monkeypatch):
     kit = _six_atom_kit()
     expected = construct_extension_oracle(kit)
-    passes, moves, tables = [], [], []
+    passes, moves, tables, cut_lists = [], [], [], []
 
     def refuse(*args, **kwargs):
         raise AssertionError("called by construct_extension")
 
-    def counted_pass(*args):
-        passes.append(args)
-        return trace_pass(*args)
+    def counted(calls, function):
+        def call(*args):
+            calls.append(args)
+            return function(*args)
 
-    def counted_move(bits, table):
-        moves.append(bits)
-        return move_bits(bits, table)
+        return call
 
-    def counted_table(source, target):
-        tables.append((source, target))
-        return bit_table(source, target)
-
-    bit_table = embeddings._bit_table
     monkeypatch.setattr(MeasureSpace, "measure_of", refuse)
-    monkeypatch.setattr(embeddings, "transfer_mask", refuse)
-    monkeypatch.setattr(embeddings, "_trace", counted_pass)
-    monkeypatch.setattr(embeddings, "_move", counted_move)
-    monkeypatch.setattr(embeddings, "_bit_table", counted_table)
+    monkeypatch.setattr(core, "transfer_mask", refuse)
+    monkeypatch.setattr(embeddings, "_trace", counted(passes, trace_pass))
+    monkeypatch.setattr(embeddings, "_cuts", counted(cut_lists, embeddings._cuts))
+    for module in (core, embeddings):
+        monkeypatch.setattr(module, "_move", counted(moves, move_bits))
+        monkeypatch.setattr(module, "_bit_table", counted(tables, embeddings._bit_table))
     built = []
     for cls in (GroundSet, SigmaAlgebra, MeasureSpace):
         monkeypatch.setattr(cls, "__init__", _counted_init(cls.__init__, built))
     assert construct_extension(kit) == expected
     # one label-to-bit table moves each block's pasted part onto the new
-    # ground, and one moves the closing check's cuts onto the base ground;
-    # the check makes no trace pass and builds no ground, algebra or space
-    # besides the result's
-    x = expected.ground.mask(kit.base.ground.labels)
-    meeting = sum(not atom.isdisjoint(x) for atom in expected.algebra.atoms)
+    # ground, and one moves the closing check's cut list onto the base
+    # ground; the check makes no trace pass and builds no ground, algebra
+    # or space besides the result's
     assert passes == []
-    assert len(moves) == len(expected.algebra.atoms) + meeting
+    assert len(moves) == len(expected.algebra.atoms)
+    assert cut_lists == [(expected.algebra, kit.base.ground)]
     assert built == [GroundSet, SigmaAlgebra, MeasureSpace]
     assert tables == [(kit.pasted.ground, expected.ground), (expected.ground, kit.base.ground)]
 
@@ -1282,6 +1279,93 @@ def test_refused_embeddings_never_walk_an_algebra(monkeypatch):
         if not expected.ok:
             refused[expected.reason] += 1
     assert refused["trace-mismatch"] > 40 and refused["measure-mismatch"] > 300
+
+
+def test_refusal_witnesses_build_one_mask_each(monkeypatch):
+    # the walks run on raw bits: at 12 points a refused report or thick
+    # answer builds one mask, its witness, and an accepted one builds none;
+    # a report makes one label-to-bit table, and no step builds a ground
+    # set, an algebra or a trace, or tests membership, measures or transfers
+    rng = random.Random(26)
+    pairs = [random_report_pair(rng, 12) for _ in range(60)]
+    spaces = [random_space(rng, [f"p{i}" for i in range(12)]) for _ in range(40)]
+    thick = [(ms, ms.ground.mask(p for p in ms.ground.labels if rng.random() < 0.7)) for ms in spaces]
+    built, tables = [], []
+    init, trusted, bit_table = SubsetMask.__init__, SubsetMask._trusted, core._bit_table
+
+    def counted_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    def counted_trusted(*args):
+        built.append(args)
+        return trusted(*args)
+
+    def counted_table(*args):
+        tables.append(args)
+        return bit_table(*args)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a witness walk left raw bits")
+
+    monkeypatch.setattr(SubsetMask, "__init__", counted_init)
+    monkeypatch.setattr(SubsetMask, "_trusted", staticmethod(counted_trusted))
+    monkeypatch.setattr(core, "_bit_table", counted_table)
+    for owner, name in (
+        (GroundSet, "__init__"),
+        (SigmaAlgebra, "__init__"),
+        (SigmaAlgebra, "member"),
+        (MeasureSpace, "measure_of"),
+        (core, "transfer_mask"),
+        (core, "_trace"),
+    ):
+        monkeypatch.setattr(owner, name, refuse)
+    reasons = set()
+    for small, big in pairs:
+        built.clear()
+        tables.clear()
+        report = measure_embedding_report(small, big)
+        assert (len(built), len(tables)) == (not report.ok, 1)
+        reasons.add(report.reason)
+    assert reasons == {None, "trace-mismatch", "measure-mismatch"}
+    tables.clear()
+    refused = 0
+    for ms, x in thick:
+        built.clear()
+        witness = ms._thick_witness(x)
+        assert (len(built), tables) == (witness is not None, [])
+        refused += witness is not None
+    assert 0 < refused < len(thick)
+
+
+def test_check_measurable_embedding_matches_the_trace_oracle(monkeypatch):
+    # every algebra on up to 4 points against every algebra on each subset
+    # X, listed in ground order and reversed: the check compares the cut
+    # list with the small atoms, so it passes with every trace-algebra
+    # builder patched to raise
+    cases = []
+    for n in range(5):
+        g = GroundSet(tuple("abcd"[:n]))
+        for big in all_sigma_algebras(g):
+            for bits in range(1 << n):
+                x = SubsetMask(g, bits)
+                for labels in {x.labels(), x.labels()[::-1]}:
+                    for small in all_sigma_algebras(GroundSet(labels)):
+                        expected = trace_algebra_oracle(big, x, small.ground) == small
+                        cases.append((small, big, expected))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("check_measurable_embedding built a trace algebra")
+
+    for owner, name in ((core, "_trace"), (core, "trace_algebra"), (embeddings, "trace_algebra")):
+        monkeypatch.setattr(owner, name, refuse)
+    held = 0
+    for small, big, expected in cases:
+        assert check_measurable_embedding(small, big) is expected
+        held += expected
+    assert 100 < held < len(cases) - 100
+    with pytest.raises(GroundMismatchError, match="^the small ground set is not a subset"):
+        check_measurable_embedding(alg(G("a", "q"), ["a", "q"]), big)
 
 
 def test_submasks_yield_each_submask_once_from_the_top_down():

@@ -1,9 +1,11 @@
 """Filters, ultrafilters, the {0,1}-measure dictionary, transfer maps."""
 import random
+from collections import Counter
 
 import pytest
 
 from measpace import (
+    GroundMismatchError,
     GroundSet,
     InputFormatError,
     MeasureSpace,
@@ -26,6 +28,7 @@ from measpace import (
     trace_algebra,
     ultrafilter_from_01_measure,
 )
+from measpace import core, filters
 from measpace.jsonio import family_to_obj
 
 from support import (
@@ -213,16 +216,31 @@ def test_ultrafilter_from_01_measure_matches_scan_up_to_5():
             assert ultrafilter_from_01_measure(zm) == ultrafilter_from_01_measure_oracle(zm)
 
 
-def test_lift_to_superspace_matches_scan_up_to_4():
-    # every superalgebra on up to 4 points and every measurable X in it
-    lifted = 0
+def test_lift_to_superspace_matches_scan_up_to_4(monkeypatch):
+    # every superalgebra on up to 4 points, every X and every algebra on X:
+    # the lift or its refusal, decided on the cut list, so with every
+    # trace-algebra builder patched to raise
+    cases = []
     for big in _algebras_up_to(4):
-        for x in big.sets():
-            small = trace_algebra(big, x)
-            for f in enumerate_ultrafilters(small):
-                assert lift_to_superspace(f, big) == lift_to_superspace_oracle(f, big)
-                lifted += 1
-    assert lifted > 100
+        for bits in range(1 << big.ground.size):
+            x = SubsetMask(big.ground, bits)
+            for small in all_sigma_algebras(GroundSet(x.labels())):
+                for f in enumerate_ultrafilters(small):
+                    cases.append((f, big, outcome(lift_to_superspace_oracle, f, big)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("lift_to_superspace built a trace algebra")
+
+    for owner, name in ((core, "_trace"), (core, "trace_algebra"), (filters, "trace_algebra")):
+        monkeypatch.setattr(owner, name, refuse)
+    answers = Counter()
+    for f, big, expected in cases:
+        assert outcome(lift_to_superspace, f, big) == expected
+        answers[expected[1] if type(expected) is tuple else "lifted"] += 1
+    assert len(answers) == 3 and min(answers.values()) > 100
+    foreign = enumerate_ultrafilters(alg(G("a", "q"), ["a"], ["q"]))[0]
+    with pytest.raises(GroundMismatchError, match="^the ultrafilter's points are not in the"):
+        lift_to_superspace(foreign, big)
 
 
 def test_finite_dichotomy_up_to_5_points():

@@ -1,0 +1,5 @@
+"""Make the tier-1 oracles in ``tests/support.py`` importable here."""
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
