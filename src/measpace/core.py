@@ -89,9 +89,9 @@ class _Value:
     ``__init__``, which checks them again.
 
     ``_trusted(first, second)`` is the one construction path that skips
-    ``__init__``, for values whose invariants the library has just checked
-    on raw bits itself: the masks of ``SigmaAlgebra.sets`` and
-    ``SigmaAlgebra._least_set`` and the spaces of ``enumerate_extensions``.
+    ``__init__``, for values the library has just checked on raw bits
+    itself: the masks of ``SigmaAlgebra.sets`` and ``_least_set``, and
+    the masks, algebras and spaces of ``enumerate_extensions``.
     Only a class whose slots are exactly its two fields has one: when the
     class is created, its two slot descriptors' setters are looked up
     once, so a value costs one ``object.__new__`` and two stores.  Any

@@ -16,9 +16,8 @@ extension of a base space by finitely many fresh points from the kits.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
-from functools import cache, reduce
+from functools import cache
 from itertools import chain
-from operator import or_
 
 from .core import (
     MAX_POINTS,
@@ -625,11 +624,10 @@ def enumerate_extensions(
     Output is canonically sorted and uses the canonical ground order (base
     points first, extra points sorted lexicographically).
 
-    ``_canonical_blocks`` lists the block tuples already in that order,
-    and ``_check_partitions`` confirms every one on raw ints before any
-    object is built.  Then each distinct block becomes one ``SubsetMask``,
-    and every space is built unchecked from those masks and the base
-    values followed by one ``ZERO`` per pasted block.
+    ``_canonical_blocks`` lists the atom tuples in that order, each one
+    a checked partition of the ground, sharing one mask per block.  Each
+    space is built unchecked from one tuple, the base values and one
+    ``ZERO`` per pasted block.
     """
     _require(base, MeasureSpace, "the base")
     extras = list(_require(extra_labels, Iterable, "the extra labels"))
@@ -648,24 +646,22 @@ def enumerate_extensions(
             f"enumeration needs {n} points; the cap is {ENUMERATION_CAP}"
         )
     ground = GroundSet(tuple(base.ground.labels) + tuple(sorted(extras)))
-
     fresh = (1 << n) - (1 << base.ground.size)
-    partitions = _canonical_blocks(tuple(a.bits for a in base.algebra.atoms), fresh)
-    _check_partitions(partitions, (1 << n) - 1)
-    masks = {bits: SubsetMask(ground, bits) for bits in set().union(*partitions)}
-    k = len(base.algebra.atoms)
-    values = [base.atom_values + (ZERO,) * pasted for pasted in range(len(extras) + 1)]
+    atom_bits = tuple(a.bits for a in base.algebra.atoms)
+    values = {len(atom_bits) + p: base.atom_values + (ZERO,) * p for p in range(len(extras) + 1)}
     algebra, space = SigmaAlgebra._trusted, MeasureSpace._trusted
     return [
-        space(algebra(ground, tuple(map(masks.__getitem__, blocks))), values[len(blocks) - k])
-        for blocks in partitions
+        space(algebra(ground, atoms), values[len(atoms)])
+        for atoms in _canonical_blocks(ground, atom_bits, fresh)
     ]
 
 
-def _canonical_blocks(atom_bits: tuple[int, ...], fresh: int) -> list[tuple[int, ...]]:
-    """Every partition of the base atoms and the ``fresh`` points that keeps
-    the atoms apart, as raw block tuples in canonical order: lexicographic
-    over the blocks, each compared by its index tuple.
+def _canonical_blocks(
+    ground: GroundSet, atom_bits: tuple[int, ...], fresh: int
+) -> list[tuple[SubsetMask, ...]]:
+    """Every partition of ``ground`` into the base atoms and the ``fresh``
+    points that keeps the atoms apart, as atom tuples in canonical order:
+    lexicographic over the blocks, each compared by its index tuple.
 
     Base atom i takes each subset S of the free fresh points, then each
     pasted block takes the least free point plus a subset S of the rest.
@@ -674,13 +670,24 @@ def _canonical_blocks(atom_bits: tuple[int, ...], fresh: int) -> list[tuple[int,
     first, lists in order.  That is the order of one sorted list of the
     subsets of ``fresh``, kept by filtering it to each free set.  The
     tuples after block i depend only on i and the free points, so each
-    such suffix list is built once per call.
+    such suffix list is built once per call, with one mask per block.
+
+    The tuples for (i, free) partition its domain, ``free`` plus the atoms
+    from i on: each block must lie in the domain, hold its least point and
+    leave exactly the tail's domain, and the root domain must be the
+    ground, or ``InvariantError`` is raised.
     """
     order = sorted(_submasks(fresh), key=bits_key)
     k = len(atom_bits)
-    memo: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    covered = [0] * (k + 1)  # covered[i]: the union of the atoms from i on
+    for i in reversed(range(k)):
+        covered[i] = atom_bits[i] | covered[i + 1]
+    if fresh | covered[0] != (1 << ground.size) - 1:
+        raise InvariantError(f"atoms {atom_bits} and fresh points {fresh:#b} miss the ground")
+    masks: dict[int, SubsetMask] = {}
+    memo: dict[tuple[int, int], list[tuple[SubsetMask, ...]]] = {}
 
-    def suffixes(i: int, free: int) -> list[tuple[int, ...]]:
+    def suffixes(i: int, free: int) -> list[tuple[SubsetMask, ...]]:
         if (i, free) in memo:
             return memo[i, free]
         if i < k:
@@ -690,27 +697,20 @@ def _canonical_blocks(atom_bits: tuple[int, ...], fresh: int) -> list[tuple[int,
             rest, after = free ^ head, k
         else:
             return [()]
-        memo[i, free] = listed = [
-            (head | s,) + tail
-            for s in order
-            if s & rest == s
-            for tail in suffixes(after, rest ^ s)
-        ]
+        domain = free | covered[i]
+        memo[i, free] = listed = []
+        for s in order:
+            if s & rest == s:
+                block, left = head | s, rest ^ s
+                remains = left | covered[after]  # the domain of the tuples after block
+                if not block & domain & -domain or block & ~domain or remains != domain ^ block:
+                    raise InvariantError(f"block {block:#b} does not split {domain:#b}")
+                mask = masks.get(block)
+                if mask is None:
+                    mask = masks[block] = SubsetMask._trusted(ground, block)
+                listed += [(mask,) + tail for tail in suffixes(after, left)]
         return listed
 
-    return suffixes(0, fresh)
-
-
-def _check_partitions(partitions: list[tuple[int, ...]], full: int) -> None:
-    """Raise ``InvariantError`` unless every block tuple lists nonempty
-    blocks by increasing least bit (all above 0) whose sum and union are
-    both ``full``: then no two overlap and together they cover it.
-    """
-    for blocks in partitions:
-        least = 0
-        for bits in blocks:
-            if (low := bits & -bits) <= least:
-                raise InvariantError(f"generated blocks {blocks} are empty or out of order")
-            least = low
-        if sum(blocks) != full or reduce(or_, blocks, 0) != full:
-            raise InvariantError(f"generated blocks {blocks} overlap or miss a point")
+    listed = suffixes(0, fresh)
+    del suffixes  # it refers to itself: break the cycle so the memo is freed now, not by gc
+    return listed

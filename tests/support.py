@@ -12,7 +12,9 @@ instances.
 """
 from __future__ import annotations
 
+from functools import reduce
 from itertools import product as iproduct
+from operator import or_
 
 from measpace import (
     INFINITY,
@@ -267,6 +269,20 @@ def canonical_blocks_oracle(atom_bits: tuple[int, ...], first: int, n: int) -> l
         return b"".join(bytes(i + 1 for i in bits_key(bits)) + b"\0" for bits in blocks)
 
     return sorted(_partitions(tuple(atom_bits), first, n), key=key)
+
+
+def is_canonical_partition(blocks: tuple[int, ...], full: int) -> bool:
+    """True iff ``blocks`` lists nonempty blocks by increasing least bit
+    (all above 0) whose sum and union are both ``full``: then no two
+    overlap and together they cover it.  Every atom tuple that
+    ``enumerate_extensions`` lists must pass, since the check its
+    generator makes on each block proves this by induction."""
+    least = 0
+    for bits in blocks:
+        if (low := bits & -bits) <= least:
+            return False
+        least = low
+    return sum(blocks) == full and reduce(or_, blocks, 0) == full
 
 
 def count_extensions_oracle(base: MeasureSpace, n_extra: int) -> int:

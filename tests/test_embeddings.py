@@ -58,6 +58,7 @@ from support import (
     embedding_report_oracle,
     enumerate_extensions_oracle,
     induced_base_oracle,
+    is_canonical_partition,
     kit_dfamily_oracle,
     outcome,
     random_report_pair,
@@ -631,9 +632,35 @@ def test_enumerate_matches_filter_oracle():
     assert cases == 262
 
 
+# (blocks, ground bits) pairs that are no partition in canonical order
+BROKEN_PARTITIONS = [
+    ((0b011, 0b110), 0b111),  # overlapping
+    ((0b011, 0b010), 0b101),  # overlapping, though their sum is the ground
+    ((0b001, 0b010), 0b111),  # not covering
+    ((0b010, 0b101), 0b111),  # out of order
+    ((0b001, 0, 0b110), 0b111),  # an empty block
+]
+
+
+def test_enumerate_lists_only_partitions_of_the_ground():
+    # the in-line check of _canonical_blocks against the definition-level
+    # predicate, on every atom tuple of every enumeration case
+    assert is_canonical_partition((0b001, 0b110), 0b111) and is_canonical_partition((), 0)
+    for blocks, full in BROKEN_PARTITIONS:
+        assert not is_canonical_partition(blocks, full)
+    cases = listed = 0
+    for base, extras in _enumeration_cases():
+        cases += 1
+        for ext in enumerate_extensions(base, extras):
+            listed += 1
+            full = (1 << ext.ground.size) - 1
+            assert is_canonical_partition(tuple(atom.bits for atom in ext.algebra.atoms), full)
+    assert cases == 262 and listed > 10000
+
+
 def test_canonical_blocks_match_the_sorted_partition_listing():
     # every base partition on 0-4 points, to every size up to the cap: the
-    # block tuples come out in the order the old full listing was sorted to
+    # atom tuples come out in the order the old full listing was sorted to
     cases = 0
     for size in range(5):
         g = GroundSet(tuple("abcd"[:size]))
@@ -641,11 +668,13 @@ def test_canonical_blocks_match_the_sorted_partition_listing():
             atom_bits = tuple(a.bits for a in algebra.atoms)
             for n in range(size, embeddings.ENUMERATION_CAP + 1):
                 cases += 1
+                ground = GroundSet(tuple(f"x{i}" for i in range(n)))
                 fresh = (1 << n) - (1 << size)
-                listed = embeddings._canonical_blocks(atom_bits, fresh)
-                assert listed == canonical_blocks_oracle(atom_bits, size, n)
+                listed = embeddings._canonical_blocks(ground, atom_bits, fresh)
+                got = [tuple(mask.bits for mask in atoms) for atoms in listed]
+                assert got == canonical_blocks_oracle(atom_bits, size, n)
                 # nothing is kept between calls: a second call lists anew
-                assert embeddings._canonical_blocks(atom_bits, fresh) is not listed
+                assert embeddings._canonical_blocks(ground, atom_bits, fresh) is not listed
     assert cases == 136
 
 
@@ -674,8 +703,9 @@ def test_enumerate_builds_what_the_public_constructors_build():
 
 
 def test_enumerate_builds_no_checked_algebra_or_space(monkeypatch):
-    # _check_partitions proves every block tuple, so no listed space is
-    # rebuilt through the checking constructors; the bases are built first
+    # the in-line check of _canonical_blocks proves every atom tuple, so no
+    # listed space is rebuilt through the checking constructors; the bases
+    # are built first
     cases = list(_enumeration_cases())
 
     def refuse(*args, **kwargs):
@@ -687,35 +717,41 @@ def test_enumerate_builds_no_checked_algebra_or_space(monkeypatch):
     assert listed > 10000
 
 
-BROKEN_PARTITIONS = [
-    ((0b011, 0b110), 0b111),  # overlapping
-    ((0b011, 0b010), 0b101),  # overlapping, though their sum is the ground
-    ((0b001, 0b010), 0b111),  # not covering
-    ((0b010, 0b101), 0b111),  # out of order
-    ((0b001, 0, 0b110), 0b111),  # an empty block
+# (atoms, fresh points) of a 3-point ground that _canonical_blocks must refuse
+BROKEN_BASES = [
+    ((0b011, 0b110), 0),  # overlapping atoms
+    ((0b011, 0b010), 0b100),  # overlapping atoms, though with the fresh point they cover the ground
+    ((0b001, 0b010), 0),  # atoms that miss a point
+    ((0b001,), 0b010),  # atoms and fresh points that miss a point
+    ((0b010, 0b101), 0),  # atoms out of order
+    ((0b001, 0, 0b110), 0),  # an empty atom
+    ((0b001, 0b110), 0b100),  # a fresh point inside an atom
 ]
 
 
 def test_enumeration_partition_check():
-    check = embeddings._check_partitions
-    check([(0b001, 0b110), (0b101, 0b010), (0b111,)], 0b111)
-    check([()], 0)
-    for blocks, full in BROKEN_PARTITIONS:
+    ground = G("a", "b", "c")
+    for atom_bits, fresh in [((0b001, 0b110), 0), ((0b001,), 0b110), ((0b011,), 0b100)]:
+        listed = embeddings._canonical_blocks(ground, atom_bits, fresh)
+        got = [tuple(mask.bits for mask in atoms) for atoms in listed]
+        assert got == canonical_blocks_oracle(atom_bits, 3 - fresh.bit_count(), 3)
+    assert embeddings._canonical_blocks(G(), (), 0) == [()]
+    for atom_bits, fresh in BROKEN_BASES:
         with pytest.raises(InvariantError):
-            check([(full,), blocks], full)
+            embeddings._canonical_blocks(ground, atom_bits, fresh)
 
 
 def test_enumeration_partition_check_survives_optimize():
     # python -O strips assert statements; the check must still raise
     script = f"""
-from measpace import InvariantError
-from measpace.embeddings import _check_partitions
-for blocks, full in {BROKEN_PARTITIONS!r}:
+from measpace import GroundSet, InvariantError
+from measpace.embeddings import _canonical_blocks
+for atom_bits, fresh in {BROKEN_BASES!r}:
     try:
-        _check_partitions([blocks], full)
+        _canonical_blocks(GroundSet(("a", "b", "c")), atom_bits, fresh)
     except InvariantError:
         continue
-    raise SystemExit(f"no InvariantError for {{blocks}}")
+    raise SystemExit(f"no InvariantError for {{atom_bits}} with {{fresh}}")
 """
     src = Path(embeddings.__file__).resolve().parent.parent
     result = subprocess.run(
